@@ -34,8 +34,7 @@ class SecurityParams:
     m: int
 
     def __post_init__(self):
-        if not (0.0 < self.theta <= math.pi / 2):
-            raise DomainError(f"theta {self.theta} outside (0, pi/2]")
+        _check_theta(self.theta)
         if self.n < 1:
             raise DomainError("n must be >= 1")
         if not (0 <= self.m < self.n):

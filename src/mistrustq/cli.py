@@ -8,6 +8,7 @@ floats; JSON output goes through the same float formatting as transcripts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import sys
@@ -16,9 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bitwise, cointoss
+from . import bitwise, codebook, cointoss
 from .errors import InvalidSpec, SimulationError
-from .harness import StrategyDescriptor, _format_value, rng_stream, run_session, serialize
+from .harness import (
+    StrategyDescriptor,
+    format_value,
+    rng_stream,
+    run_session,
+    run_session_with_rng,
+    serialize,
+)
 
 PROTOCOL_NAMES = {
     "bitwise": "BitwiseCommit",
@@ -40,7 +48,7 @@ def _write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
         lines += [",".join(_fmt(row[k]) for k in header) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = _format_value(rows) + "\n"
+        text = format_value(rows) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -55,16 +63,20 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
+def _number(key: str, text: str):
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    raise InvalidSpec(f"strategy parameter {key}={text!r} is not a number")
+
+
 def _parse_strategy(party: str, text: str) -> StrategyDescriptor:
     name, _, paramtext = text.partition(":")
     params = {}
     if paramtext:
         for item in paramtext.split(","):
             k, _, v = item.partition("=")
-            try:
-                params[k] = int(v)
-            except ValueError:
-                params[k] = float(v)
+            params[k] = _number(k, v)
     return StrategyDescriptor(party=party, name=name, parameters=params)
 
 
@@ -89,7 +101,7 @@ def cmd_bounds(args) -> int:
         else:
             row[f"min_n_for_r{args.r}"] = 1
         for r2 in args.r2:
-            row[f"codebook_bound_r{r2}"] = 1.0 + (r2 - 1) * args.epsilon
+            row[f"codebook_bound_r{r2}"] = codebook.cheat_bound(r2, args.epsilon)
         rows.append(row)
     _write_rows(rows, args.format, args.out)
     return 0
@@ -109,6 +121,8 @@ def _session_params(args) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.trials < 1:
+        raise InvalidSpec("trials must be >= 1")
     protocol = PROTOCOL_NAMES[args.protocol]
     params = _session_params(args)
     alice = _parse_strategy("alice", args.alice)
@@ -172,29 +186,39 @@ class SweepSpec:
             raise InvalidSpec(f"variable {self.variable!r} also appears in fixed")
 
 
+# Sweep parameters whose flag is not --<name>.
+_SWEEP_FLAGS = {"M": "--batches", "N": "--pairs", "tamper_fraction": "--tamper-fraction"}
+
+
+class _SweepParams(dict):
+    def __missing__(self, key):
+        raise InvalidSpec(f"this sweep needs {_SWEEP_FLAGS.get(key, '--' + key)}")
+
+
 def _sweep_point(spec: SweepSpec, value) -> tuple[float, float]:
     """(mean, stderr) of the metric at one sweep value."""
-    p = dict(spec.fixed)
+    p = _SweepParams(spec.fixed)
     p[spec.variable] = value
     if spec.metric == "cheat_bound":
         return bitwise.cheat_bound(p["theta"]), 0.0
     if spec.metric == "bob_entropy":
         return bitwise.bob_entropy(int(p["n"]), p["theta"]), 0.0
     if spec.metric == "codebook_bound":
-        return 1.0 + (p["r"] - 1) * p["epsilon"], 0.0
+        return codebook.cheat_bound(p["r"], p["epsilon"]), 0.0
+    rng = rng_stream(spec.seed, f"sweep:{spec.variable}={value}")
     if spec.metric == "advantage":
-        params = cointoss.CoinTossParams(M=int(p["M"]), N=int(p["N"]), seed=spec.seed)
-        rng = rng_stream(spec.seed, f"sweep:{spec.variable}={value}")
+        params = cointoss.CoinTossParams(M=int(p["M"]), N=int(p["N"]))
         scores = [cointoss.bob_best_of_M(params, rng)[0] for _ in range(spec.trials)]
         return float(np.mean(scores)), float(np.std(scores) / math.sqrt(len(scores)))
     if spec.metric == "detection":
-        params = cointoss.CoinTossParams(M=int(p["M"]), N=int(p["N"]), seed=spec.seed)
-        frac = float(p["tamper_fraction"])
-        alice = cointoss.TamperAlice(fraction=frac, target_bit=0)
-        bob = cointoss.HonestBob()
-        rng = rng_stream(spec.seed, f"sweep:{spec.variable}={value}")
+        params = {"M": int(p["M"]), "N": int(p["N"])}
+        alice = StrategyDescriptor(
+            "alice", "tamper", {"fraction": float(p["tamper_fraction"]), "target_bit": 0}
+        )
+        bob = StrategyDescriptor("bob", "honest")
         hits = [
-            cointoss.run_coin_toss(params, alice, bob, rng).verdict == "CheatDetected"
+            run_session_with_rng("CoinToss", params, alice, bob, spec.seed, rng).verdict
+            == "CheatDetected"
             for _ in range(spec.trials)
         ]
         mean = float(np.mean(hits))

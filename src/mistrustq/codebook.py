@@ -305,6 +305,12 @@ def cheat_operator(codebook: Codebook, targets) -> HermitianOperator:
     return HermitianOperator(Q)
 
 
+def cheat_bound(r: int, epsilon: float) -> float:
+    """Ceiling 1 + (r - 1) * epsilon on the total success probability of
+    keeping r revelations alive in an epsilon-certified codebook."""
+    return 1.0 + (r - 1) * epsilon
+
+
 def optimal_multistring_cheat(codebook: Codebook, targets) -> CheatReport:
     """Best single committed state for keeping r revelations alive.
 
@@ -323,7 +329,7 @@ def optimal_multistring_cheat(codebook: Codebook, targets) -> CheatReport:
         cheat_state=cheat,
         success_probs=probs,
         total=float(eig.eigenvalues[0]),
-        bound=1.0 + (len(targets) - 1) * codebook.epsilon,
+        bound=cheat_bound(len(targets), codebook.epsilon),
     )
 
 

@@ -5,17 +5,21 @@ in the Bell basis and the surviving batch generates the bit string through
 anticorrelated sigma_z measurements.  Alice cheats by substituting product
 states; Bob cheats by measuring everything first and keeping the batch he
 likes best.
+
+A set of batches is one complex (M, N, 4) amplitude array: ``batches[i, j]``
+is pair j of batch i in the basis |00>, |01>, |10>, |11> (Alice's qubit
+first).  This module holds the physics only; the session message flow and
+the strategies live in ``harness``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .qmath import StateVector
 
 # Bell basis rows: Phi+, Phi-, Psi+, Psi- (singlet last).
 _BELL = np.array(
@@ -34,7 +38,6 @@ SINGLET_OUTCOME = 3
 class CoinTossParams:
     M: int
     N: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.M < 2:
@@ -48,147 +51,45 @@ class CoinTossParams:
         return math.log2(self.M) / self.N
 
 
-@dataclass(frozen=True)
-class PairState:
-    state: StateVector
-
-    def __post_init__(self):
-        if self.state.dim != 4:
-            raise DomainError("a pair state lives in dimension 4")
-
-
-def singlet() -> PairState:
-    """(|01> - |10>) / sqrt(2)."""
+def singlet() -> np.ndarray:
+    """(|01> - |10>) / sqrt(2) as a 4-vector."""
     s = math.sqrt(0.5)
-    return PairState(StateVector([0.0, s, -s, 0.0]))
+    return np.array([0.0, s, -s, 0.0], dtype=complex)
 
 
-def product_pair(alice_bit: int, bob_bit: int) -> PairState:
-    """Computational product state |alice_bit, bob_bit>."""
-    amps = np.zeros(4)
+def product_pair(alice_bit: int, bob_bit: int) -> np.ndarray:
+    """Computational product state |alice_bit, bob_bit> as a 4-vector."""
+    amps = np.zeros(4, dtype=complex)
     amps[2 * alice_bit + bob_bit] = 1.0
-    return PairState(StateVector(amps))
+    return amps
 
 
-@dataclass(frozen=True)
-class HonestAlice:
-    name: str = field(default="honest", init=False)
-
-    def prepare(self, params: CoinTossParams, rng: np.random.Generator):
-        return [[singlet() for _ in range(params.N)] for _ in range(params.M)]
+def singlet_batches(params: CoinTossParams) -> np.ndarray:
+    """M batches of N singlets: a fresh, writable (M, N, 4) array."""
+    return np.tile(singlet(), (params.M, params.N, 1))
 
 
-@dataclass(frozen=True)
-class TamperAlice:
-    """Replaces a fraction of each batch with the product state that forces
-    her own bit to target_bit."""
-
-    fraction: float
-    target_bit: int
-    name: str = field(default="tamper", init=False)
-
-    def __post_init__(self):
-        if not (0.0 <= self.fraction <= 1.0):
-            raise DomainError("fraction must lie in [0, 1]")
-        if self.target_bit not in (0, 1):
-            raise DomainError("target_bit must be 0 or 1")
-
-    def prepare(self, params: CoinTossParams, rng: np.random.Generator):
-        k = math.ceil(self.fraction * params.N)
-        bad = product_pair(self.target_bit, 1 - self.target_bit)
-        batches = []
-        for _ in range(params.M):
-            batch = [singlet() for _ in range(params.N)]
-            for pos in rng.choice(params.N, size=k, replace=False):
-                batch[pos] = bad
-            batches.append(batch)
-        return batches
-
-
-@dataclass(frozen=True)
-class TamperOneBatch:
-    """Fully tampers a single batch, hoping Bob keeps it untested."""
-
-    batch_index: int
-    target_bit: int
-    name: str = field(default="tamper_one_batch", init=False)
-
-    def __post_init__(self):
-        if self.batch_index < 0:
-            raise DomainError("batch_index must be >= 0")
-        if self.target_bit not in (0, 1):
-            raise DomainError("target_bit must be 0 or 1")
-
-    def prepare(self, params: CoinTossParams, rng: np.random.Generator):
-        if self.batch_index >= params.M:
-            raise DomainError("batch_index outside [0, M)")
-        bad = product_pair(self.target_bit, 1 - self.target_bit)
-        batches = [[singlet() for _ in range(params.N)] for _ in range(params.M)]
-        batches[self.batch_index] = [bad for _ in range(params.N)]
-        return batches
-
-
-@dataclass(frozen=True)
-class HonestBob:
-    name: str = field(default="honest", init=False)
-
-
-@dataclass(frozen=True)
-class BestOfMBob:
-    """Measures every batch first and keeps the highest-scoring bit string."""
-
-    name: str = field(default="best_of_m", init=False)
-
-
-AliceStrategy = HonestAlice | TamperAlice | TamperOneBatch
-BobStrategy = HonestBob | BestOfMBob
-
-
-@dataclass(frozen=True)
-class TossOutcome:
-    verdict: str  # "Completed" | "CheatDetected"
-    kept_batch: int
-    alice_bits: str | None = None
-    bob_bits: str | None = None
-
-    def __post_init__(self):
-        if (self.verdict == "Completed") != (self.alice_bits is not None):
-            raise DomainError("bits must be present iff the toss completed")
-
-
-def _batch_amplitudes(batch) -> np.ndarray:
-    return np.array([p.state.amplitudes for p in batch])
-
-
-def prepare_batches(
-    strategy: AliceStrategy, params: CoinTossParams, rng: np.random.Generator
-):
-    """M batches of N pair states according to Alice's strategy."""
-    return strategy.prepare(params, rng)
-
-
-def singlet_test(batch, rng: np.random.Generator) -> bool:
-    """Bell-basis measurement of every pair; pass iff all singlet outcomes."""
-    amps = _batch_amplitudes(batch)
-    probs = np.abs(amps @ _BELL.conj().T) ** 2
+def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One outcome index per row of (unnormalized) probabilities."""
     probs /= probs.sum(axis=1, keepdims=True)
     cum = np.cumsum(probs, axis=1)
-    u = rng.random(len(batch))
-    outcomes = (cum < u[:, None]).sum(axis=1)
+    u = rng.random(len(probs))
+    return (cum < u[:, None]).sum(axis=1)
+
+
+def singlet_test(batch: np.ndarray, rng: np.random.Generator) -> bool:
+    """Bell-basis measurement of every pair of an (N, 4) batch; pass iff
+    every outcome is the singlet."""
+    outcomes = _sample_rows(np.abs(batch @ _BELL.conj().T) ** 2, rng)
     return bool((outcomes == SINGLET_OUTCOME).all())
 
 
-def generate_bits(batch, rng: np.random.Generator) -> tuple[str, str]:
-    """Joint sigma_z measurement per pair; +1 maps to bit 0.
+def generate_bits(batch: np.ndarray, rng: np.random.Generator) -> tuple[str, str]:
+    """Joint sigma_z measurement per pair of an (N, 4) batch; +1 maps to bit 0.
 
     For honest singlets the two strings are exact complements.
     """
-    amps = _batch_amplitudes(batch)
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(len(batch))
-    outcomes = (cum < u[:, None]).sum(axis=1)
+    outcomes = _sample_rows(np.abs(batch) ** 2, rng)
     alice = "".join(str(k >> 1) for k in outcomes)
     bob = "".join(str(k & 1) for k in outcomes)
     return alice, bob
@@ -202,39 +103,6 @@ def zero_prefix_score(bits: str) -> float:
             break
         n += 1
     return float(n)
-
-
-def run_coin_toss(
-    params: CoinTossParams,
-    alice: AliceStrategy,
-    bob: BobStrategy,
-    rng: np.random.Generator,
-) -> TossOutcome:
-    """One full session: prepare, cut-and-choose test, bit generation.
-
-    Alice commits all batches before Bob's choice.  An honest Bob picks the
-    kept batch uniformly and tests the rest; a best-of-M Bob measures every
-    batch first, keeps the best and skips real testing (his measurement is
-    undetectable to Alice).
-    """
-    batches = prepare_batches(alice, params, rng)
-    if isinstance(bob, BestOfMBob):
-        measured = [generate_bits(b, rng) for b in batches]
-        kept = max(range(params.M), key=lambda i: zero_prefix_score(measured[i][1]))
-        a_bits, b_bits = measured[kept]
-        return TossOutcome(
-            verdict="Completed", kept_batch=kept, alice_bits=a_bits, bob_bits=b_bits
-        )
-    kept = int(rng.integers(params.M))
-    for i in range(params.M):
-        if i == kept:
-            continue
-        if not singlet_test(batches[i], rng):
-            return TossOutcome(verdict="CheatDetected", kept_batch=kept)
-    a_bits, b_bits = generate_bits(batches[kept], rng)
-    return TossOutcome(
-        verdict="Completed", kept_batch=kept, alice_bits=a_bits, bob_bits=b_bits
-    )
 
 
 def bob_best_of_M(

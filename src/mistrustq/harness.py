@@ -10,12 +10,15 @@ ever sees the classical face of each message addressed to its party.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DeserializeError, ProtocolViolation, UnknownStrategy
+from . import bitwise, codebook, cointoss
+from .errors import DeserializeError, DomainError, ProtocolViolation, UnknownStrategy
 
 FORMAT_VERSION = 1
 
@@ -30,15 +33,15 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _format_value(obj) -> str:
+def format_value(obj) -> str:
     """JSON with floats at 17 significant digits (lossless for float64)."""
     if isinstance(obj, dict):
         inner = ", ".join(
-            f"{json.dumps(str(k))}: {_format_value(v)}" for k, v in obj.items()
+            f"{json.dumps(str(k))}: {format_value(v)}" for k, v in obj.items()
         )
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_format_value(v) for v in obj) + "]"
+        return "[" + ", ".join(format_value(v) for v in obj) + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -81,7 +84,7 @@ class Transcript:
 def serialize(t: Transcript) -> bytes:
     """JSON lines: header, one line per message, verdict footer."""
     lines = [
-        _format_value(
+        format_value(
             {
                 "format_version": FORMAT_VERSION,
                 "protocol": t.protocol,
@@ -92,11 +95,11 @@ def serialize(t: Transcript) -> bytes:
     ]
     for m in t.messages:
         lines.append(
-            _format_value(
+            format_value(
                 {"seq": m.seq, "sender": m.sender, "kind": m.kind, "payload": m.payload}
             )
         )
-    lines.append(_format_value({"verdict": t.verdict}))
+    lines.append(format_value({"verdict": t.verdict}))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -172,11 +175,17 @@ def resolve_strategy(protocol: str, desc: StrategyDescriptor) -> SessionStrategy
     key = (protocol, desc.party, desc.name)
     if key not in _REGISTRY:
         raise UnknownStrategy(f"no {desc.party} strategy {desc.name!r} for {protocol}")
-    return _REGISTRY[key](**desc.parameters)
+    cls = _REGISTRY[key]
+    try:
+        inspect.signature(cls).bind(**desc.parameters)
+    except TypeError as exc:
+        raise UnknownStrategy(f"{desc.party} strategy {desc.name!r}: {exc}") from None
+    return cls(**desc.parameters)
 
 
 def _amps_json(amplitudes: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in amplitudes]
+    """Complex array of any shape as nested lists ending in [re, im] pairs."""
+    return np.stack((amplitudes.real, amplitudes.imag), -1).tolist()
 
 
 # --- bitwise commitment strategies -----------------------------------------
@@ -185,8 +194,6 @@ def _amps_json(amplitudes: np.ndarray) -> list:
 @register_strategy("BitwiseCommit", "alice", "honest")
 class _HonestBitwiseAlice(SessionStrategy):
     def pick_states(self, params, rng):
-        from . import bitwise
-
         bits = "".join(str(b) for b in rng.integers(0, 2, size=params.n))
         self.bits = bits
         return [bitwise.encode_bit(int(b), params.theta) for b in bits]
@@ -205,8 +212,6 @@ class _CheatStateAlice(SessionStrategy):
         self.reveal_bit = reveal_bit
 
     def pick_states(self, params, rng):
-        from . import bitwise
-
         self.n = params.n
         cheat, _, _ = bitwise.optimal_bit_cheat(params.theta)
         return [cheat] * params.n
@@ -222,8 +227,6 @@ class _HonestBitwiseBob(SessionStrategy):
 
 
 def _run_bitwise(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
-    from . import bitwise
-
     params = bitwise.SecurityParams(
         theta=params_dict["theta"], n=params_dict["n"], m=params_dict.get("m", 0)
     )
@@ -273,8 +276,6 @@ class _MultistringAlice(SessionStrategy):
         self.r = int(r)
 
     def pick_state(self, cb, rng):
-        from . import codebook
-
         self.targets = [int(i) for i in rng.choice(cb.count, size=self.r, replace=False)]
         report = codebook.optimal_multistring_cheat(cb, self.targets)
         return report.cheat_state
@@ -290,8 +291,6 @@ class _HonestCodebookBob(SessionStrategy):
 
 def build_codebook(params_dict: dict, seed: int):
     """Shared public codebook for a session, derived from the session seed."""
-    from . import codebook
-
     construction = params_dict.get("construction", "random")
     if construction == "simplex":
         return codebook.simplex_codebook(params_dict["dim"])
@@ -304,8 +303,6 @@ def build_codebook(params_dict: dict, seed: int):
 
 
 def _run_codebook(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
-    from . import codebook
-
     cb = build_codebook(params_dict, t.seed)
     state = alice.pick_state(cb, rng)
     msg = t.append("alice", "commit", {"state": _amps_json(state.amplitudes)})
@@ -331,38 +328,54 @@ def _run_codebook(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
 
 @register_strategy("CoinToss", "alice", "honest")
 class _HonestTossAlice(SessionStrategy):
-    def impl(self):
-        from . import cointoss
-
-        return cointoss.HonestAlice()
+    def prepare(self, params, rng) -> np.ndarray:
+        return cointoss.singlet_batches(params)
 
 
 @register_strategy("CoinToss", "alice", "tamper")
 class _TamperTossAlice(SessionStrategy):
+    """Replaces a fraction of each batch with the product state that forces
+    her own bit to target_bit."""
+
     def __init__(self, fraction: float = 1.0, target_bit: int = 0):
         super().__init__()
         self.fraction = float(fraction)
         self.target_bit = int(target_bit)
+        if not (0.0 <= self.fraction <= 1.0):
+            raise DomainError("fraction must lie in [0, 1]")
+        if self.target_bit not in (0, 1):
+            raise DomainError("target_bit must be 0 or 1")
 
-    def impl(self):
-        from . import cointoss
-
-        return cointoss.TamperAlice(fraction=self.fraction, target_bit=self.target_bit)
+    def prepare(self, params, rng) -> np.ndarray:
+        k = math.ceil(self.fraction * params.N)
+        bad = cointoss.product_pair(self.target_bit, 1 - self.target_bit)
+        batches = cointoss.singlet_batches(params)
+        for batch in batches:
+            batch[rng.choice(params.N, size=k, replace=False)] = bad
+        return batches
 
 
 @register_strategy("CoinToss", "alice", "tamper_one_batch")
 class _TamperOneBatchAlice(SessionStrategy):
+    """Fully tampers a single batch, hoping Bob keeps it untested."""
+
     def __init__(self, batch_index: int = 0, target_bit: int = 0):
         super().__init__()
         self.batch_index = int(batch_index)
         self.target_bit = int(target_bit)
+        if self.batch_index < 0:
+            raise DomainError("batch_index must be >= 0")
+        if self.target_bit not in (0, 1):
+            raise DomainError("target_bit must be 0 or 1")
 
-    def impl(self):
-        from . import cointoss
-
-        return cointoss.TamperOneBatch(
-            batch_index=self.batch_index, target_bit=self.target_bit
+    def prepare(self, params, rng) -> np.ndarray:
+        if self.batch_index >= params.M:
+            raise DomainError("batch_index outside [0, M)")
+        batches = cointoss.singlet_batches(params)
+        batches[self.batch_index] = cointoss.product_pair(
+            self.target_bit, 1 - self.target_bit
         )
+        return batches
 
 
 @register_strategy("CoinToss", "bob", "honest")
@@ -372,21 +385,16 @@ class _HonestTossBob(SessionStrategy):
 
 @register_strategy("CoinToss", "bob", "best_of_m")
 class _BestOfMTossBob(SessionStrategy):
+    """Measures every batch first and keeps the highest-scoring bit string;
+    skipping the tests is undetectable to Alice."""
+
     cheating = True
 
 
 def _run_cointoss(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
-    from . import cointoss
-
-    params = cointoss.CoinTossParams(
-        M=params_dict["M"], N=params_dict["N"], seed=t.seed
-    )
-    batches = cointoss.prepare_batches(alice.impl(), params, rng)
-    payload = {
-        "M": params.M,
-        "N": params.N,
-        "states": [[_amps_json(p.state.amplitudes) for p in b] for b in batches],
-    }
+    params = cointoss.CoinTossParams(M=params_dict["M"], N=params_dict["N"])
+    batches = alice.prepare(params, rng)
+    payload = {"M": params.M, "N": params.N, "states": _amps_json(batches)}
     msg = t.append("alice", "prepare", payload)
     bob.observe(msg, _classical_view(msg.payload))
 
@@ -446,13 +454,26 @@ def run_session(
 
     Deterministic: equal inputs give byte-identical serialized transcripts.
     """
+    rng = rng_stream(seed, "session")
+    return run_session_with_rng(protocol, params, alice, bob, seed, rng)
+
+
+def run_session_with_rng(
+    protocol: str,
+    params: dict,
+    alice: StrategyDescriptor,
+    bob: StrategyDescriptor,
+    seed: int,
+    rng: np.random.Generator,
+) -> Transcript:
+    """run_session drawing from the caller's rng; seed is only recorded
+    (and derives the public codebook of a CodebookCommit session)."""
     if protocol not in _DRIVERS:
         raise UnknownStrategy(f"unknown protocol {protocol!r}")
     if alice.party != "alice" or bob.party != "bob":
         raise ProtocolViolation("descriptors must name an alice and a bob strategy")
     alice_s = resolve_strategy(protocol, alice)
     bob_s = resolve_strategy(protocol, bob)
-    rng = rng_stream(seed, "session")
     t = Transcript(protocol=protocol, params=params, seed=seed)
     _DRIVERS[protocol](params, alice_s, bob_s, rng, t)
     return t

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from mistrustq import bitwise, codebook, cointoss, qmath
+from mistrustq import bitwise, codebook, cointoss, harness, qmath
 from mistrustq.cli import main
 
 THETA_GRID = (0.05, 0.1, 0.3, 0.6, 1.0, math.pi / 2)
@@ -109,15 +109,17 @@ def test_06_hiding_gap():
 
 
 def test_07_honest_coin_toss():
-    params = cointoss.CoinTossParams(M=4, N=16)
+    alice = harness.StrategyDescriptor("alice", "honest")
+    bob = harness.StrategyDescriptor("bob", "honest")
     rng = np.random.default_rng(107)
     zeros = total = 0
     for _ in range(1_000):
-        out = cointoss.run_coin_toss(params, cointoss.HonestAlice(), cointoss.HonestBob(), rng)
-        assert out.verdict == "Completed"
-        assert all(a != b for a, b in zip(out.alice_bits, out.bob_bits))
-        zeros += out.alice_bits.count("0")
-        total += len(out.alice_bits)
+        t = harness.run_session_with_rng("CoinToss", {"M": 4, "N": 16}, alice, bob, 0, rng)
+        assert t.verdict == "Completed"
+        bits = {m.kind: m.payload["bits"] for m in t.messages if m.kind.endswith("_bits")}
+        assert all(a != b for a, b in zip(bits["alice_bits"], bits["bob_bits"]))
+        zeros += bits["alice_bits"].count("0")
+        total += len(bits["alice_bits"])
     sigma = math.sqrt(0.25 / total)
     assert abs(zeros / total - 0.5) < 3 * sigma
     report("7 honest coin toss")
@@ -127,9 +129,7 @@ def test_08_tamper_detection_rates():
     trials = 100_000
     rng = np.random.default_rng(108)
     for k in (1, 2, 4):
-        batch = [cointoss.singlet() for _ in range(8 - k)] + [
-            cointoss.product_pair(0, 1)
-        ] * k
+        batch = np.array([cointoss.singlet()] * (8 - k) + [cointoss.product_pair(0, 1)] * k)
         passes = sum(cointoss.singlet_test(batch, rng) for _ in range(trials))
         expect = 0.5**k
         sigma = math.sqrt(expect * (1 - expect) / trials)

@@ -88,6 +88,27 @@ class TestRun:
         assert code == 1
         assert "strategy" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--protocol", "bitwise", "--trials", "0"], "trials"),
+            (["run", "--protocol", "bitwise", "--alice", "cheat_state:foo=1"], "foo"),
+            (["run", "--protocol", "cointoss", "--alice", "tamper:fraction=abc"],
+             "not a number"),
+            (["run", "--protocol", "cointoss", "--alice", "tamper:fraction=2"], "fraction"),
+            (["sweep", "--metric", "advantage", "--variable", "M", "--values", "2,4"],
+             "--pairs"),
+            (["sweep", "--metric", "detection", "--variable", "M", "--values", "2",
+              "--tamper-fraction", "0.5"], "--pairs"),
+        ],
+        ids=["trials-0", "unknown-param", "non-number", "fraction-2",
+             "advantage-no-pairs", "detection-no-pairs"],
+    )
+    def test_bad_input_runtime_error(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv, "--seed", "1")
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+
     def test_transcript_files(self, capsys, tmp_path):
         d = tmp_path / "tr"
         code, _, _ = run_cli(

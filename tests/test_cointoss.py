@@ -1,44 +1,69 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mistrustq import cointoss
 from mistrustq.cointoss import (
     CoinTossParams,
-    BestOfMBob,
-    HonestAlice,
-    HonestBob,
-    TamperAlice,
-    TamperOneBatch,
     bob_best_of_M,
     generate_bits,
-    prepare_batches,
     product_pair,
-    run_coin_toss,
     singlet,
     singlet_test,
     zero_prefix_score,
 )
 from mistrustq.errors import DomainError
+from mistrustq.harness import StrategyDescriptor, resolve_strategy, run_session_with_rng
 
 SQ = math.sqrt(0.5)
+
+HONEST_ALICE = StrategyDescriptor("alice", "honest")
+HONEST_BOB = StrategyDescriptor("bob", "honest")
+BEST_OF_M_BOB = StrategyDescriptor("bob", "best_of_m")
+
+
+def tamper(fraction, target_bit):
+    return StrategyDescriptor(
+        "alice", "tamper", {"fraction": fraction, "target_bit": target_bit}
+    )
+
+
+def tamper_one_batch(batch_index, target_bit):
+    return StrategyDescriptor(
+        "alice", "tamper_one_batch", {"batch_index": batch_index, "target_bit": target_bit}
+    )
+
+
+def prepare(alice, params, rng):
+    return resolve_strategy("CoinToss", alice).prepare(params, rng)
+
+
+def toss(params, alice, bob, rng):
+    """One session through the harness engine, summarized from its transcript."""
+    t = run_session_with_rng("CoinToss", {"M": params.M, "N": params.N}, alice, bob, 0, rng)
+    payloads = {m.kind: m.payload for m in t.messages}
+    return SimpleNamespace(
+        verdict=t.verdict,
+        kept_batch=payloads["choose"]["kept"],
+        alice_bits=payloads.get("alice_bits", {}).get("bits"),
+        bob_bits=payloads.get("bob_bits", {}).get("bits"),
+    )
 
 
 class TestSinglet:
     def test_amplitudes_and_norm(self):
-        s = singlet().state
-        np.testing.assert_allclose(s.amplitudes, [0, SQ, -SQ, 0])
-        assert np.linalg.norm(s.amplitudes) == pytest.approx(1, abs=1e-12)
+        s = singlet()
+        np.testing.assert_allclose(s, [0, SQ, -SQ, 0])
+        assert np.linalg.norm(s) == pytest.approx(1, abs=1e-12)
 
     def test_overlap_with_01(self):
-        s = singlet().state
-        amp = np.vdot(product_pair(0, 1).state.amplitudes, s.amplitudes)
+        amp = np.vdot(product_pair(0, 1), singlet())
         assert abs(amp) ** 2 == pytest.approx(0.5)
 
     def test_sigma_z_anticorrelation(self):
         zz = np.diag([1.0, -1.0, -1.0, 1.0])
-        s = singlet().state.amplitudes
+        s = singlet()
         assert np.real(np.vdot(s, zz @ s)) == pytest.approx(-1)
 
 
@@ -56,52 +81,58 @@ class TestParams:
 class TestPrepare:
     def test_honest_all_singlets(self):
         params = CoinTossParams(M=3, N=5)
-        batches = prepare_batches(HonestAlice(), params, np.random.default_rng(0))
-        for batch in batches:
-            for pair in batch:
-                np.testing.assert_allclose(pair.state.amplitudes, [0, SQ, -SQ, 0])
+        batches = prepare(HONEST_ALICE, params, np.random.default_rng(0))
+        assert batches.shape == (3, 5, 4) and batches.dtype == complex
+        np.testing.assert_allclose(batches, np.tile([0, SQ, -SQ, 0], (3, 5, 1)))
 
     def test_full_tamper(self):
         params = CoinTossParams(M=2, N=4)
-        batches = prepare_batches(
-            TamperAlice(fraction=1.0, target_bit=0), params, np.random.default_rng(0)
+        batches = prepare(
+            tamper(fraction=1.0, target_bit=0), params, np.random.default_rng(0)
         )
-        for batch in batches:
-            for pair in batch:
-                np.testing.assert_allclose(pair.state.amplitudes, [0, 1, 0, 0])
+        np.testing.assert_allclose(batches, np.tile([0, 1, 0, 0], (2, 4, 1)))
 
     def test_half_tamper_counts(self):
         params = CoinTossParams(M=3, N=5)
         rng = np.random.default_rng(7)
-        batches = prepare_batches(TamperAlice(fraction=0.5, target_bit=1), params, rng)
-        for batch in batches:
-            tampered = sum(
-                np.allclose(p.state.amplitudes, [0, 0, 1, 0]) for p in batch
-            )
-            assert tampered == math.ceil(5 / 2)
+        batches = prepare(tamper(fraction=0.5, target_bit=1), params, rng)
+        tampered = np.isclose(batches, [0, 0, 1, 0]).all(axis=-1).sum(axis=1)
+        assert (tampered == math.ceil(5 / 2)).all()
 
     def test_tamper_positions_deterministic(self):
         params = CoinTossParams(M=2, N=8)
-        a = prepare_batches(
-            TamperAlice(fraction=0.25, target_bit=0), params, np.random.default_rng(3)
+        a = prepare(
+            tamper(fraction=0.25, target_bit=0), params, np.random.default_rng(3)
         )
-        b = prepare_batches(
-            TamperAlice(fraction=0.25, target_bit=0), params, np.random.default_rng(3)
+        b = prepare(
+            tamper(fraction=0.25, target_bit=0), params, np.random.default_rng(3)
         )
-        for ba, bb in zip(a, b):
-            for pa, pb in zip(ba, bb):
-                assert (pa.state.amplitudes == pb.state.amplitudes).all()
+        assert (a == b).all()
+
+    @pytest.mark.parametrize(
+        "alice",
+        [
+            tamper(fraction=2.0, target_bit=0),
+            tamper(fraction=0.5, target_bit=2),
+            tamper_one_batch(batch_index=-1, target_bit=0),
+            tamper_one_batch(batch_index=0, target_bit=-1),
+            tamper_one_batch(batch_index=2, target_bit=0),  # outside [0, M)
+        ],
+    )
+    def test_strategy_range_checks(self, alice):
+        with pytest.raises(DomainError):
+            prepare(alice, CoinTossParams(M=2, N=4), np.random.default_rng(0))
 
 
 class TestSingletTest:
     def test_honest_always_passes(self):
         rng = np.random.default_rng(0)
-        batch = [singlet() for _ in range(8)]
+        batch = np.array([singlet()] * 8)
         assert all(singlet_test(batch, rng) for _ in range(10_000))
 
     def test_one_tampered_pair_half_rate(self):
         rng = np.random.default_rng(1)
-        batch = [singlet() for _ in range(7)] + [product_pair(0, 1)]
+        batch = np.array([singlet()] * 7 + [product_pair(0, 1)])
         trials = 20_000
         passes = sum(singlet_test(batch, rng) for _ in range(trials))
         sigma = math.sqrt(0.25 / trials)
@@ -111,7 +142,7 @@ class TestSingletTest:
         # oracle: per-pair independence, pass probability = prod |<singlet|pair>|^2
         rng = np.random.default_rng(2)
         for k in (2, 3):
-            batch = [singlet() for _ in range(6)] + [product_pair(0, 1)] * k
+            batch = np.array([singlet()] * 6 + [product_pair(0, 1)] * k)
             expect = 0.5**k
             trials = 20_000
             passes = sum(singlet_test(batch, rng) for _ in range(trials))
@@ -122,14 +153,14 @@ class TestSingletTest:
 class TestGenerateBits:
     def test_anticorrelated(self):
         rng = np.random.default_rng(0)
-        batch = [singlet() for _ in range(16)]
+        batch = np.array([singlet()] * 16)
         for _ in range(200):
             a, b = generate_bits(batch, rng)
             assert all(x != y for x, y in zip(a, b))
 
     def test_unbiased(self):
         rng = np.random.default_rng(1)
-        batch = [singlet() for _ in range(50)]
+        batch = np.array([singlet()] * 50)
         total = 0
         zeros = 0
         for _ in range(2_000):
@@ -141,7 +172,7 @@ class TestGenerateBits:
 
     def test_product_pairs_deterministic(self):
         rng = np.random.default_rng(2)
-        batch = [product_pair(0, 1)] * 6
+        batch = np.array([product_pair(0, 1)] * 6)
         a, b = generate_bits(batch, rng)
         assert a == "000000"
         assert b == "111111"
@@ -153,7 +184,7 @@ class TestRunCoinToss:
         rng = np.random.default_rng(0)
         zeros = total = 0
         for _ in range(200):
-            out = run_coin_toss(params, HonestAlice(), HonestBob(), rng)
+            out = toss(params, HONEST_ALICE, HONEST_BOB, rng)
             assert out.verdict == "Completed"
             assert all(x != y for x, y in zip(out.alice_bits, out.bob_bits))
             zeros += out.alice_bits.count("0")
@@ -164,20 +195,20 @@ class TestRunCoinToss:
     def test_full_tamper_detected(self):
         params = CoinTossParams(M=4, N=8)
         rng = np.random.default_rng(1)
-        alice = TamperAlice(fraction=1.0, target_bit=0)
+        alice = tamper(fraction=1.0, target_bit=0)
         # survival requires all 3N=24 tested tampered pairs to pass: 2^-24
         for _ in range(300):
-            assert run_coin_toss(params, alice, HonestBob(), rng).verdict == "CheatDetected"
+            assert toss(params, alice, HONEST_BOB, rng).verdict == "CheatDetected"
 
     def test_single_tampered_batch_escape_rate(self):
         # oracle: Bob keeps the tampered batch with probability 1/M
         params = CoinTossParams(M=4, N=8)
         rng = np.random.default_rng(2)
-        alice = TamperOneBatch(batch_index=1, target_bit=0)
+        alice = tamper_one_batch(batch_index=1, target_bit=0)
         trials = 4_000
         escaped = 0
         for _ in range(trials):
-            out = run_coin_toss(params, alice, HonestBob(), rng)
+            out = toss(params, alice, HONEST_BOB, rng)
             if out.verdict == "Completed" and out.kept_batch == 1:
                 escaped += 1
                 assert out.alice_bits == "0" * 8  # bits fixed when it escapes
@@ -189,10 +220,10 @@ class TestRunCoinToss:
         rates = []
         for k in (1, 2, 4, 8):
             rng = np.random.default_rng(10 + k)
-            alice = TamperAlice(fraction=k / 8, target_bit=0)
+            alice = tamper(fraction=k / 8, target_bit=0)
             trials = 2_000
             detected = sum(
-                run_coin_toss(params, alice, HonestBob(), rng).verdict == "CheatDetected"
+                toss(params, alice, HONEST_BOB, rng).verdict == "CheatDetected"
                 for _ in range(trials)
             )
             rates.append(detected / trials)
@@ -204,7 +235,7 @@ class TestRunCoinToss:
         rng = np.random.default_rng(3)
         scores = []
         for _ in range(300):
-            out = run_coin_toss(params, HonestAlice(), BestOfMBob(), rng)
+            out = toss(params, HONEST_ALICE, BEST_OF_M_BOB, rng)
             assert out.verdict == "Completed"
             assert all(x != y for x, y in zip(out.alice_bits, out.bob_bits))
             scores.append(zero_prefix_score(out.bob_bits))
