@@ -18,6 +18,10 @@ TRANSCRIPTS = "<transcripts>"  # replaced by a fresh directory per run
 
 COINTOSS = ["run", "--protocol", "cointoss", "--batches", "4", "--pairs", "8",
             "--trials", "20", "--transcripts-dir", TRANSCRIPTS]
+BITWISE = ["run", "--protocol", "bitwise", "--theta", "0.3", "--n", "4",
+           "--trials", "20", "--transcripts-dir", TRANSCRIPTS]
+CODEBOOK = ["run", "--protocol", "codebook", "--trials", "20",
+            "--transcripts-dir", TRANSCRIPTS]
 
 GOLDEN = [
     pytest.param(
@@ -88,6 +92,26 @@ GOLDEN = [
          "--values", "1,2,4,8", "--epsilon", "0.25", "--seed", "46"],
         "3a83f727ab66511c813ef2f6df92b031f46510c27e96e94324835e0bf81c5061",
         id="sweep-codebook_bound",
+    ),
+    pytest.param(
+        BITWISE + ["--seed", "51"],
+        "3d8336d334524d264fd33c626444f0e693be2cc9c88c62b319df9aebe2d30a55",
+        id="run-bitwise-honest-transcripts",
+    ),
+    pytest.param(
+        BITWISE + ["--alice", "cheat_state", "--seed", "52"],
+        "88966a3887b8ed1e2bacfb177418b4f9858466ef5eae7c281d694a857b870c90",
+        id="run-bitwise-cheat_state-transcripts",
+    ),
+    pytest.param(
+        CODEBOOK + ["--seed", "53"],
+        "78e56f7ee1291c74914ca43d86586f82f21e45ff57ab39026642d7b30bdcbcbb",
+        id="run-codebook-honest-transcripts",
+    ),
+    pytest.param(
+        CODEBOOK + ["--alice", "multistring:r=2", "--seed", "54"],
+        "81e25070c045bd1e5a7ca789a8c7b57c4f89a3ae5ef85c02199298be144c13b5",
+        id="run-codebook-multistring-transcripts",
     ),
 ]
 
