@@ -49,68 +49,53 @@ class SecurityParams:
         return self.n - self.m
 
 
-@dataclass(frozen=True)
-class BitwiseCommitment:
-    qubits: tuple[StateVector, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.qubits)
-
-
-@dataclass(frozen=True)
-class UnveilVerdict:
-    accepted: bool
-    failing_index: int | None = None
-
-    def __post_init__(self):
-        if self.accepted != (self.failing_index is None):
-            raise DomainError("failing_index must be present iff rejected")
-
-
 def _check_theta(theta: float) -> None:
     if not (0.0 < theta <= math.pi / 2):
         raise DomainError(f"theta {theta} outside (0, pi/2]")
 
 
+def _encode(bits: str, theta: float) -> np.ndarray:
+    """(len(bits), 2) array whose row i is the encoding of bits[i]."""
+    _check_theta(theta)
+    if not set(bits) <= {"0", "1"}:
+        raise DomainError(f"bits must be 0 or 1, got {bits!r}")
+    psi = np.array([[1.0, 0.0], [math.sin(theta), math.cos(theta)]], dtype=complex)
+    return psi[[int(b) for b in bits]]
+
+
 def encode_bit(bit: int, theta: float) -> StateVector:
     """psi_0 = |0>; psi_1 = sin(theta)|0> + cos(theta)|1>."""
-    _check_theta(theta)
     if bit not in (0, 1):
         raise DomainError(f"bit must be 0 or 1, got {bit}")
-    if bit == 0:
-        return StateVector([1.0, 0.0])
-    return StateVector([math.sin(theta), math.cos(theta)])
+    return StateVector(_encode(str(int(bit)), theta)[0])
 
 
-def commit(bits: str, params: SecurityParams) -> BitwiseCommitment:
-    """Encode each bit of the string as one qubit."""
+def encode_string(bits: str, params: SecurityParams) -> np.ndarray:
+    """Commitment to a string: one encoded qubit per bit, as an (n, 2) array."""
     if len(bits) != params.n:
         raise LengthMismatch(f"got {len(bits)} bits, params.n is {params.n}")
-    return BitwiseCommitment(tuple(encode_bit(int(b), params.theta) for b in bits))
+    return _encode(bits, params.theta)
 
 
 def verify_unveil(
-    held: BitwiseCommitment,
+    held: np.ndarray,
     claimed: str,
     theta: float,
     rng: np.random.Generator,
-) -> UnveilVerdict:
+) -> int | None:
     """Measure each held qubit against the claimed encoding, in order.
 
-    Accepts iff every qubit yields the eigenvalue-1 outcome; otherwise
-    reports the first failing position.
+    Qubit i passes with probability |<psi_claimed[i]|held[i]>|^2, decided by
+    one uniform draw; returns the first failing position, or None if every
+    qubit passes.
     """
-    _check_theta(theta)
-    if len(claimed) != held.n:
-        raise LengthMismatch(f"claimed {len(claimed)} bits for {held.n} qubits")
-    eye = np.eye(2)
-    for i, qubit in enumerate(held.qubits):
-        P = qmath.projector(encode_bit(int(claimed[i]), theta))
-        complement = HermitianOperator(eye - P.entries)
-        if qmath.born_sample(qubit, [P, complement], rng) != 0:
-            return UnveilVerdict(accepted=False, failing_index=i)
-    return UnveilVerdict(accepted=True)
+    if len(claimed) != len(held):
+        raise LengthMismatch(f"claimed {len(claimed)} bits for {len(held)} qubits")
+    probs = np.abs((_encode(claimed, theta).conj() * held).sum(axis=1)) ** 2
+    for i, p in enumerate(probs):
+        if not rng.random() < p:
+            return i
+    return None
 
 
 def cheat_bound(theta: float) -> float:

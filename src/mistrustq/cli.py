@@ -110,6 +110,8 @@ def cmd_bounds(args) -> int:
 def _session_params(args) -> dict:
     if args.protocol == "bitwise":
         return {"theta": args.theta[0], "n": args.n[0], "m": args.m}
+    if args.protocol == "codebook" and args.construction == "simplex":
+        return {"dim": args.dim, "construction": "simplex"}
     if args.protocol == "codebook":
         return {
             "dim": args.dim,

@@ -8,7 +8,6 @@ Q = P_1 + ... + P_r, which never exceeds 1 + (r-1) * epsilon.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -16,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DeserializeError,
     DomainError,
     DuplicateTargets,
     IndexOutOfRange,
@@ -25,9 +23,7 @@ from .errors import (
 )
 from . import qmath
 from .qmath import HermitianOperator, StateVector
-from .bitwise import UnveilVerdict
 
-CODEBOOK_FORMAT_VERSION = 1
 MAX_REPORT_DIM = 256
 
 
@@ -41,7 +37,6 @@ class Codebook:
     dim: int
     vectors: np.ndarray
     epsilon: float
-    seed: int | None = None
     construction: str = "random"
 
     def __post_init__(self):
@@ -77,60 +72,11 @@ class Codebook:
         """Committed-string length: floor(log2 count)."""
         return self.count.bit_length() - 1
 
-    @property
-    def packing_exponent(self) -> float:
-        """log2(count) / log2(dim), reported growth metadata."""
-        return math.log2(self.count) / math.log2(self.dim)
-
-    def state(self, index: int) -> StateVector:
+    def state(self, index: int) -> np.ndarray:
+        """The codeword of a string index (a read-only row of vectors)."""
         if not (0 <= index < self.count):
             raise IndexOutOfRange(f"index {index} outside [0, {self.count})")
-        return StateVector(self.vectors[index])
-
-    def to_json(self) -> str:
-        doc = {
-            "version": CODEBOOK_FORMAT_VERSION,
-            "dim": self.dim,
-            "epsilon": self.epsilon,
-            "vectors": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.vectors
-            ],
-            "seed": self.seed,
-            "construction": self.construction,
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Codebook":
-        try:
-            doc = json.loads(text)
-            if doc["version"] != CODEBOOK_FORMAT_VERSION:
-                raise DeserializeError(f"unsupported version {doc['version']}")
-            V = np.array(
-                [[complex(re, im) for re, im in row] for row in doc["vectors"]],
-                dtype=complex,
-            )
-            return cls(
-                dim=doc["dim"],
-                vectors=V,
-                epsilon=doc["epsilon"],
-                seed=doc["seed"],
-                construction=doc["construction"],
-            )
-        except DeserializeError:
-            raise
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise DeserializeError(f"bad codebook document: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class CodebookCommitment:
-    state: StateVector
-    codebook: Codebook
-
-    def __post_init__(self):
-        if self.state.dim != self.codebook.dim:
-            raise DomainError("committed state dimension does not match codebook")
+        return self.vectors[index]
 
 
 @dataclass(frozen=True)
@@ -221,12 +167,19 @@ def random_codebook(
     block of candidates is rejected (or max_attempts run out) any shortfall
     is filled with fresh Haar vectors and the whole set is polished by
     repulsion descent, then re-certified.  Deterministic for a fixed rng
-    state.
+    state.  An epsilon at or below the Welch bound
+    sqrt((count - d) / (d (count - 1))) admits no packing at all, so it
+    fails before any candidate is drawn.
     """
     if count < 2:
         raise DomainError("count must be >= 2")
     if not (0.0 < epsilon <= 1.0):
         raise DomainError("epsilon must lie in (0, 1]")
+    if count > d and epsilon <= math.sqrt((count - d) / (d * (count - 1))):
+        raise PackingFailure(
+            f"epsilon {epsilon} is at or below the Welch bound for {count} vectors "
+            f"in dim {d}"
+        )
     V = _greedy_fill(d, count, epsilon, rng, max_attempts)
     if len(V) < count:
         short = count - len(V)
@@ -267,21 +220,15 @@ def simplex_codebook(d: int) -> Codebook:
     )
 
 
-def commit_string(codebook: Codebook, index: int) -> CodebookCommitment:
-    """Commit a string by sending the vector it indexes."""
-    return CodebookCommitment(state=codebook.state(index), codebook=codebook)
-
-
 def verify_unveil(
-    held: CodebookCommitment, claimed: int, rng: np.random.Generator
-) -> UnveilVerdict:
-    """Measure the held state against the claimed codeword's projector."""
-    P = qmath.projector(held.codebook.state(claimed))
-    complement = HermitianOperator(np.eye(held.codebook.dim) - P.entries)
-    outcome = qmath.born_sample(held.state, [P, complement], rng)
-    if outcome == 0:
-        return UnveilVerdict(accepted=True)
-    return UnveilVerdict(accepted=False, failing_index=claimed)
+    codebook: Codebook, held: np.ndarray, claimed: int, rng: np.random.Generator
+) -> bool:
+    """Measure the held state against the claimed codeword: accepted with
+    probability |<v_claimed|held>|^2, decided by one uniform draw."""
+    if held.shape != (codebook.dim,):
+        raise DomainError("committed state dimension does not match codebook")
+    p = abs(np.vdot(codebook.state(claimed), held)) ** 2
+    return bool(rng.random() < p)
 
 
 def _check_targets(codebook: Codebook, targets) -> tuple[int, ...]:
@@ -301,7 +248,8 @@ def cheat_operator(codebook: Codebook, targets) -> HermitianOperator:
     targets = _check_targets(codebook, targets)
     Q = np.zeros((codebook.dim, codebook.dim), dtype=complex)
     for t in targets:
-        Q += qmath.projector(codebook.state(t)).entries
+        v = codebook.state(t)
+        Q += np.outer(v, v.conj())
     return HermitianOperator(Q)
 
 
@@ -322,7 +270,7 @@ def optimal_multistring_cheat(codebook: Codebook, targets) -> CheatReport:
     eig = qmath.hermitian_eigen(Q)
     cheat = eig.eigenvectors[0]
     probs = tuple(
-        float(abs(qmath.inner(codebook.state(t), cheat)) ** 2) for t in targets
+        float(abs(np.vdot(codebook.state(t), cheat.amplitudes)) ** 2) for t in targets
     )
     return CheatReport(
         target_indices=targets,

@@ -45,11 +45,6 @@ class CoinTossParams:
         if self.N < 1:
             raise DomainError("N must be >= 1")
 
-    @property
-    def advantage_ratio(self) -> float:
-        """log2(M) / N; the protocol wants this small (advisory, not enforced)."""
-        return math.log2(self.M) / self.N
-
 
 def singlet() -> np.ndarray:
     """(|01> - |10>) / sqrt(2) as a 4-vector."""

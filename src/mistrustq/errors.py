@@ -25,10 +25,6 @@ class NoConvergence(SimulationError):
     """The eigensolver exhausted its sweep budget without converging."""
 
 
-class IncompleteMeasurement(SimulationError):
-    """Measurement projectors do not resolve the identity."""
-
-
 class TooLarge(SimulationError):
     """A requested construction exceeds the exact-computation size guard."""
 

@@ -22,8 +22,6 @@ from .errors import DeserializeError, DomainError, ProtocolViolation, UnknownStr
 
 FORMAT_VERSION = 1
 
-PROTOCOLS = ("BitwiseCommit", "CodebookCommit", "CoinToss")
-
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
     """Deterministic, platform-stable stream derived from (seed, label)."""
@@ -183,9 +181,26 @@ def resolve_strategy(protocol: str, desc: StrategyDescriptor) -> SessionStrategy
     return cls(**desc.parameters)
 
 
+def _int_param(name: str, value, lo: int, hi: int | None = None) -> int:
+    """A strategy's integer parameter, checked when the strategy is built."""
+    if not float(value).is_integer() or value < lo or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{name} must be an integer {span}, got {value}")
+    return int(value)
+
+
 def _amps_json(amplitudes: np.ndarray) -> list:
     """Complex array of any shape as nested lists ending in [re, im] pairs."""
     return np.stack((amplitudes.real, amplitudes.imag), -1).tolist()
+
+
+def _send_verdict(t: Transcript, alice, failing_index) -> None:
+    """Bob's verdict on an unveiling: accepted iff nothing failed."""
+    accepted = failing_index is None
+    payload = {"accepted": accepted, "failing_index": failing_index}
+    msg = t.append("bob", "verdict", payload)
+    alice.observe(msg, msg.payload)
+    t.verdict = "Accepted" if accepted else "Rejected"
 
 
 # --- bitwise commitment strategies -----------------------------------------
@@ -196,7 +211,7 @@ class _HonestBitwiseAlice(SessionStrategy):
     def pick_states(self, params, rng):
         bits = "".join(str(b) for b in rng.integers(0, 2, size=params.n))
         self.bits = bits
-        return [bitwise.encode_bit(int(b), params.theta) for b in bits]
+        return bitwise.encode_string(bits, params)
 
     def claim(self, rng) -> str:
         return self.bits
@@ -209,12 +224,14 @@ class _CheatStateAlice(SessionStrategy):
 
     def __init__(self, reveal_bit: int | None = None):
         super().__init__()
+        if reveal_bit is not None:
+            reveal_bit = _int_param("reveal_bit", reveal_bit, 0, 1)
         self.reveal_bit = reveal_bit
 
     def pick_states(self, params, rng):
         self.n = params.n
         cheat, _, _ = bitwise.optimal_bit_cheat(params.theta)
-        return [cheat] * params.n
+        return np.tile(cheat.amplitudes, (params.n, 1))
 
     def claim(self, rng) -> str:
         bit = self.reveal_bit if self.reveal_bit is not None else int(rng.integers(2))
@@ -231,26 +248,15 @@ def _run_bitwise(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
         theta=params_dict["theta"], n=params_dict["n"], m=params_dict.get("m", 0)
     )
     states = alice.pick_states(params, rng)
-    msg = t.append(
-        "alice",
-        "commit",
-        {"n": params.n, "states": [_amps_json(s.amplitudes) for s in states]},
-    )
+    msg = t.append("alice", "commit", {"n": params.n, "states": _amps_json(states)})
     bob.observe(msg, _classical_view(msg.payload))
     msg = t.append("bob", "commit_ack", {})
     alice.observe(msg, msg.payload)
     claimed = alice.claim(rng)
     msg = t.append("alice", "unveil", {"claimed": claimed})
     bob.observe(msg, msg.payload)
-    held = bitwise.BitwiseCommitment(tuple(states))
-    verdict = bitwise.verify_unveil(held, claimed, params.theta, rng)
-    msg = t.append(
-        "bob",
-        "verdict",
-        {"accepted": verdict.accepted, "failing_index": verdict.failing_index},
-    )
-    alice.observe(msg, msg.payload)
-    t.verdict = "Accepted" if verdict.accepted else "Rejected"
+    failing = bitwise.verify_unveil(states, claimed, params.theta, rng)
+    _send_verdict(t, alice, failing)
 
 
 # --- codebook commitment strategies ----------------------------------------
@@ -273,12 +279,14 @@ class _MultistringAlice(SessionStrategy):
 
     def __init__(self, r: int = 2):
         super().__init__()
-        self.r = int(r)
+        self.r = _int_param("r", r, 1)
 
     def pick_state(self, cb, rng):
+        if self.r > cb.count:
+            raise DomainError(f"r {self.r} exceeds the codebook count {cb.count}")
         self.targets = [int(i) for i in rng.choice(cb.count, size=self.r, replace=False)]
         report = codebook.optimal_multistring_cheat(cb, self.targets)
-        return report.cheat_state
+        return report.cheat_state.amplitudes
 
     def claim(self, rng) -> int:
         return int(self.targets[int(rng.integers(len(self.targets)))])
@@ -305,22 +313,15 @@ def build_codebook(params_dict: dict, seed: int):
 def _run_codebook(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
     cb = build_codebook(params_dict, t.seed)
     state = alice.pick_state(cb, rng)
-    msg = t.append("alice", "commit", {"state": _amps_json(state.amplitudes)})
+    msg = t.append("alice", "commit", {"state": _amps_json(state)})
     bob.observe(msg, _classical_view(msg.payload))
     msg = t.append("bob", "commit_ack", {})
     alice.observe(msg, msg.payload)
     claimed = alice.claim(rng)
     msg = t.append("alice", "unveil", {"index": claimed})
     bob.observe(msg, msg.payload)
-    held = codebook.CodebookCommitment(state=state, codebook=cb)
-    verdict = codebook.verify_unveil(held, claimed, rng)
-    msg = t.append(
-        "bob",
-        "verdict",
-        {"accepted": verdict.accepted, "failing_index": verdict.failing_index},
-    )
-    alice.observe(msg, msg.payload)
-    t.verdict = "Accepted" if verdict.accepted else "Rejected"
+    accepted = codebook.verify_unveil(cb, state, claimed, rng)
+    _send_verdict(t, alice, None if accepted else claimed)
 
 
 # --- coin toss strategies ---------------------------------------------------
@@ -340,11 +341,9 @@ class _TamperTossAlice(SessionStrategy):
     def __init__(self, fraction: float = 1.0, target_bit: int = 0):
         super().__init__()
         self.fraction = float(fraction)
-        self.target_bit = int(target_bit)
         if not (0.0 <= self.fraction <= 1.0):
             raise DomainError("fraction must lie in [0, 1]")
-        if self.target_bit not in (0, 1):
-            raise DomainError("target_bit must be 0 or 1")
+        self.target_bit = _int_param("target_bit", target_bit, 0, 1)
 
     def prepare(self, params, rng) -> np.ndarray:
         k = math.ceil(self.fraction * params.N)
@@ -361,12 +360,8 @@ class _TamperOneBatchAlice(SessionStrategy):
 
     def __init__(self, batch_index: int = 0, target_bit: int = 0):
         super().__init__()
-        self.batch_index = int(batch_index)
-        self.target_bit = int(target_bit)
-        if self.batch_index < 0:
-            raise DomainError("batch_index must be >= 0")
-        if self.target_bit not in (0, 1):
-            raise DomainError("target_bit must be 0 or 1")
+        self.batch_index = _int_param("batch_index", batch_index, 0)
+        self.target_bit = _int_param("target_bit", target_bit, 0, 1)
 
     def prepare(self, params, rng) -> np.ndarray:
         if self.batch_index >= params.M:

@@ -1,4 +1,4 @@
-"""Exact small-dimension complex linear algebra, entropy, and Born sampling.
+"""Exact small-dimension complex linear algebra and entropy.
 
 All values are immutable after construction and all operations are pure, so
 they are safe to call from concurrent code.  The only stateful object that
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DimMismatch,
     DomainError,
-    IncompleteMeasurement,
     NoConvergence,
     TooLarge,
     ZeroVector,
@@ -239,24 +238,3 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     w = np.clip(w, 0.0, 1.0)
     nz = w[w > 0.0]
     return float(-(nz * np.log2(nz)).sum())
-
-
-def born_sample(
-    state: StateVector,
-    projectors: list[HermitianOperator],
-    rng: np.random.Generator,
-) -> int:
-    """Sample an outcome of a complete projective measurement.
-
-    Returns index k with probability <state|P_k|state>.  Deterministic given
-    the rng state and draw order (one uniform draw per call).
-    """
-    total = sum(P.entries for P in projectors)
-    if np.abs(total - np.eye(state.dim)).max() > 1e-9:
-        raise IncompleteMeasurement("projectors do not resolve the identity")
-    psi = state.amplitudes
-    probs = np.array([np.real(np.vdot(psi, P.entries @ psi)) for P in projectors])
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))

@@ -42,18 +42,22 @@ class TestEncodeCommit:
         )
 
     def test_commit_all_zero(self):
-        c = bitwise.commit("000", SecurityParams(theta=0.3, n=3, m=0))
-        assert c.n == 3
-        for q in c.qubits:
-            np.testing.assert_allclose(q.amplitudes, [1, 0])
+        c = bitwise.encode_string("000", SecurityParams(theta=0.3, n=3, m=0))
+        assert c.shape == (3, 2)
+        for q in c:
+            np.testing.assert_allclose(q, [1, 0])
 
     def test_commit_composition(self):
-        c = bitwise.commit("01", SecurityParams(theta=0.3, n=2, m=0))
-        np.testing.assert_allclose(c.qubits[1].amplitudes, [math.sin(0.3), math.cos(0.3)])
+        c = bitwise.encode_string("01", SecurityParams(theta=0.3, n=2, m=0))
+        np.testing.assert_allclose(c[1], [math.sin(0.3), math.cos(0.3)])
 
     def test_commit_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            bitwise.commit("01", SecurityParams(theta=0.3, n=3, m=0))
+            bitwise.encode_string("01", SecurityParams(theta=0.3, n=3, m=0))
+
+    def test_commit_rejects_non_bits(self):
+        with pytest.raises(DomainError):
+            bitwise.encode_string("02", SecurityParams(theta=0.3, n=2, m=0))
 
 
 class TestUnveil:
@@ -62,27 +66,37 @@ class TestUnveil:
         rng = np.random.default_rng(0)
         for theta in (0.1, 0.3, 0.6, 1.0):
             params = SecurityParams(theta=theta, n=4, m=0)
-            held = bitwise.commit("0110", params)
+            held = bitwise.encode_string("0110", params)
             for _ in range(2500):
-                v = bitwise.verify_unveil(held, "0110", theta, rng)
-                assert v.accepted and v.failing_index is None
+                assert bitwise.verify_unveil(held, "0110", theta, rng) is None
 
     def test_false_claim_acceptance_rate(self):
         theta = 0.3
-        held = bitwise.commit("0", SecurityParams(theta=theta, n=1, m=0))
+        held = bitwise.encode_string("0", SecurityParams(theta=theta, n=1, m=0))
         rng = np.random.default_rng(1)
         trials = 100_000
         acc = sum(
-            bitwise.verify_unveil(held, "1", theta, rng).accepted for _ in range(trials)
+            bitwise.verify_unveil(held, "1", theta, rng) is None for _ in range(trials)
         )
         p = math.sin(theta) ** 2
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(acc / trials - p) < 3 * sigma
 
     def test_wrong_length(self):
-        held = bitwise.commit("01", SecurityParams(theta=0.3, n=2, m=0))
+        held = bitwise.encode_string("01", SecurityParams(theta=0.3, n=2, m=0))
         with pytest.raises(LengthMismatch):
             bitwise.verify_unveil(held, "011", 0.3, np.random.default_rng(0))
+
+    def test_one_draw_per_qubit_up_to_first_failure(self):
+        # qubit i passes iff its uniform draw is below sin^2(theta)
+        theta = 0.3
+        held = bitwise.encode_string("0000", SecurityParams(theta=theta, n=4, m=0))
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        failing = bitwise.verify_unveil(held, "1111", theta, rng)
+        assert failing is not None
+        u = twin.random(failing + 1)
+        assert (u[:-1] < math.sin(theta) ** 2).all() and u[-1] >= math.sin(theta) ** 2
+        assert rng.random() == twin.random()
 
 
 class TestCheat:
@@ -141,10 +155,10 @@ class TestEnsemble:
         mix = np.zeros((2**n, 2**n), dtype=complex)
         for idx in range(2**n):
             bits = format(idx, f"0{n}b")
-            state = bitwise.commit(bits, params).qubits
-            amps = state[0].amplitudes
+            state = bitwise.encode_string(bits, params)
+            amps = state[0]
             for q in state[1:]:
-                amps = np.kron(amps, q.amplitudes)
+                amps = np.kron(amps, q)
             mix += np.outer(amps, amps.conj()) / 2**n
         assert np.abs(bitwise.bob_ensemble(n, theta).entries - mix).max() < 1e-12
 

@@ -7,6 +7,7 @@ import pytest
 from mistrustq import cli
 from mistrustq.cli import SweepSpec, main, run_sweep
 from mistrustq.errors import InvalidSpec
+from mistrustq.harness import StrategyDescriptor, run_session, serialize
 
 
 def run_cli(capsys, *argv):
@@ -100,14 +101,41 @@ class TestRun:
              "--pairs"),
             (["sweep", "--metric", "detection", "--variable", "M", "--values", "2",
               "--tamper-fraction", "0.5"], "--pairs"),
+            (["run", "--protocol", "bitwise", "--alice", "cheat_state:reveal_bit=2"],
+             "reveal_bit"),
+            (["run", "--protocol", "bitwise", "--alice", "cheat_state:reveal_bit=0.5"],
+             "reveal_bit"),
+            (["run", "--protocol", "codebook", "--dim", "4", "--construction", "simplex",
+              "--alice", "multistring:r=9"], "codebook count"),
+            (["run", "--protocol", "codebook", "--dim", "4", "--alice", "multistring:r=-1"],
+             "r must"),
+            (["run", "--protocol", "codebook", "--dim", "4", "--alice", "multistring:r=2.5"],
+             "r must"),
         ],
         ids=["trials-0", "unknown-param", "non-number", "fraction-2",
-             "advantage-no-pairs", "detection-no-pairs"],
+             "advantage-no-pairs", "detection-no-pairs", "reveal-bit-2",
+             "reveal-bit-fraction", "r-above-count", "r-negative", "r-fraction"],
     )
     def test_bad_input_runtime_error(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv, "--seed", "1")
         assert code == 1
         assert err.startswith("error: ") and message in err
+
+    def test_simplex_header_records_what_the_session_reads(self, capsys, tmp_path):
+        d = tmp_path / "tr"
+        code, _, _ = run_cli(
+            capsys,
+            "run", "--protocol", "codebook", "--dim", "8", "--construction", "simplex",
+            "--seed", "36", "--trials", "3", "--transcripts-dir", str(d),
+        )
+        assert code == 0
+        honest = (StrategyDescriptor("alice", "honest"), StrategyDescriptor("bob", "honest"))
+        for path in sorted(d.iterdir()):
+            data = path.read_bytes()
+            header = json.loads(data.splitlines()[0])
+            assert header["params"] == {"dim": 8, "construction": "simplex"}
+            t = run_session(header["protocol"], header["params"], *honest, header["seed"])
+            assert serialize(t) == data
 
     def test_transcript_files(self, capsys, tmp_path):
         d = tmp_path / "tr"

@@ -8,7 +8,6 @@ from mistrustq.codebook import (
     Codebook,
     bob_info_report,
     cheat_operator,
-    commit_string,
     gram_matrix,
     optimal_multistring_cheat,
     random_codebook,
@@ -16,7 +15,6 @@ from mistrustq.codebook import (
     verify_unveil,
 )
 from mistrustq.errors import (
-    DeserializeError,
     DomainError,
     DuplicateTargets,
     IndexOutOfRange,
@@ -28,6 +26,12 @@ from mistrustq.errors import (
 @pytest.fixture(scope="module")
 def packed16():
     return random_codebook(16, 32, 0.25, np.random.default_rng(11))
+
+
+def welch(d, count):
+    """Welch lower bound on the largest pairwise overlap of count unit
+    vectors in C^d (count > d)."""
+    return math.sqrt((count - d) / (d * (count - 1)))
 
 
 def overlaps(cb):
@@ -44,8 +48,21 @@ class TestRandomCodebook:
 
     def test_tight_packing_succeeds(self, packed16):
         assert packed16.count == 32
-        assert overlaps(packed16).max() < 0.25
+        assert welch(16, 32) <= overlaps(packed16).max() < 0.25
         packed16.certify()
+
+    @pytest.mark.parametrize("epsilon", [0.1, welch(16, 32)])
+    def test_welch_bound_fails_before_sampling(self, epsilon):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(PackingFailure):
+            random_codebook(16, 32, epsilon, rng)
+        assert rng.bit_generator.state == before
+
+    def test_construction_recertifies(self, packed16):
+        # an epsilon tighter than the vectors actually satisfy is refused
+        with pytest.raises(DomainError):
+            Codebook(packed16.dim, packed16.vectors, epsilon=0.01)
 
     def test_infeasible_packing(self):
         # 4 qubit states cannot be pairwise near-orthogonal
@@ -102,35 +119,41 @@ class TestSimplexCodebook:
 
 class TestCommitUnveil:
     def test_commit_first_vector(self, packed16):
-        c = commit_string(packed16, 0)
-        np.testing.assert_allclose(c.state.amplitudes, packed16.vectors[0])
+        np.testing.assert_allclose(packed16.state(0), packed16.vectors[0])
 
     def test_out_of_range(self, packed16):
         with pytest.raises(IndexOutOfRange):
-            commit_string(packed16, packed16.count)
+            packed16.state(packed16.count)
+        with pytest.raises(IndexOutOfRange):
+            verify_unveil(packed16, packed16.state(0), -1, np.random.default_rng(0))
+
+    def test_dimension_mismatch(self, packed16):
+        with pytest.raises(DomainError):
+            verify_unveil(packed16, np.array([1, 0], dtype=complex), 0,
+                          np.random.default_rng(0))
 
     def test_honest_unveil_always_accepted(self):
         cb = simplex_codebook(3)
         rng = np.random.default_rng(1)
-        c = commit_string(cb, 2)
+        c = cb.state(2)
         for _ in range(10_000):
-            assert verify_unveil(c, 2, rng).accepted
+            assert verify_unveil(cb, c, 2, rng)
 
     def test_wrong_claim_simplex_rate(self):
         # acceptance probability is (-1/2)^2 = 1/4 on the d=2 simplex
         cb = simplex_codebook(2)
-        c = commit_string(cb, 0)
+        c = cb.state(0)
         rng = np.random.default_rng(2)
         trials = 100_000
-        acc = sum(verify_unveil(c, 1, rng).accepted for _ in range(trials))
+        acc = sum(verify_unveil(cb, c, 1, rng) for _ in range(trials))
         sigma = math.sqrt(0.25 * 0.75 / trials)
         assert abs(acc / trials - 0.25) < 3 * sigma
 
     def test_wrong_claim_bounded_by_epsilon_sq(self, packed16):
-        c = commit_string(packed16, 3)
+        c = packed16.state(3)
         rng = np.random.default_rng(3)
         trials = 20_000
-        acc = sum(verify_unveil(c, 7, rng).accepted for _ in range(trials))
+        acc = sum(verify_unveil(packed16, c, 7, rng) for _ in range(trials))
         true_p = abs(np.vdot(packed16.vectors[7], packed16.vectors[3])) ** 2
         assert true_p < 0.25**2
         sigma = math.sqrt(max(true_p, 1e-6) * 1.0 / trials)
@@ -240,28 +263,3 @@ class TestBobInfoReport:
     def test_single_vector_rejected(self):
         with pytest.raises(DomainError):
             Codebook(dim=2, vectors=np.array([[1.0, 0.0]], dtype=complex), epsilon=0.5)
-
-
-class TestJson:
-    def test_round_trip(self, packed16):
-        text = packed16.to_json()
-        back = Codebook.from_json(text)
-        assert (back.vectors == packed16.vectors).all()
-        assert back.epsilon == packed16.epsilon
-        assert back.construction == packed16.construction
-
-    def test_reimport_recertifies(self, packed16):
-        import json
-
-        doc = json.loads(packed16.to_json())
-        doc["epsilon"] = 0.01  # tighter than the vectors actually satisfy
-        with pytest.raises(DomainError):
-            Codebook.from_json(json.dumps(doc))
-
-    def test_corrupt_document(self):
-        with pytest.raises(DeserializeError):
-            Codebook.from_json("{not json")
-        with pytest.raises(DeserializeError):
-            Codebook.from_json('{"version": 1}')
-        with pytest.raises(DeserializeError):
-            Codebook.from_json('{"version": 99, "dim": 2}')

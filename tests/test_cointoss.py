@@ -74,9 +74,6 @@ class TestParams:
         with pytest.raises(DomainError):
             CoinTossParams(M=2, N=0)
 
-    def test_advantage_ratio(self):
-        assert CoinTossParams(M=8, N=32).advantage_ratio == pytest.approx(3 / 32)
-
 
 class TestPrepare:
     def test_honest_all_singlets(self):
@@ -117,6 +114,8 @@ class TestPrepare:
             tamper_one_batch(batch_index=-1, target_bit=0),
             tamper_one_batch(batch_index=0, target_bit=-1),
             tamper_one_batch(batch_index=2, target_bit=0),  # outside [0, M)
+            tamper(fraction=0.5, target_bit=0.5),
+            tamper_one_batch(batch_index=0.5, target_bit=0),
         ],
     )
     def test_strategy_range_checks(self, alice):

@@ -8,7 +8,6 @@ from mistrustq import qmath
 from mistrustq.errors import (
     DimMismatch,
     DomainError,
-    IncompleteMeasurement,
     ZeroVector,
 )
 from mistrustq.qmath import (
@@ -16,7 +15,6 @@ from mistrustq.qmath import (
     HermitianOperator,
     StateVector,
     binary_entropy,
-    born_sample,
     haar_state,
     hermitian_eigen,
     inner,
@@ -196,49 +194,6 @@ class TestEntropy:
             rho += w * projector(haar_state(d, rng)).entries
         S = von_neumann_entropy(DensityMatrix(rho))
         assert -1e-9 <= S <= math.log2(d) + 1e-9
-
-
-class TestBornSample:
-    def basis_projectors(self, dim=2):
-        return [projector(ket(np.eye(dim)[k])) for k in range(dim)]
-
-    def test_deterministic_outcome(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            assert born_sample(ket([1, 0]), self.basis_projectors(), rng) == 0
-
-    def test_uniform_superposition_frequency(self):
-        rng = np.random.default_rng(1)
-        draws = 100_000
-        ones = sum(
-            born_sample(ket([1, 1]), self.basis_projectors(), rng) for _ in range(draws)
-        )
-        sigma = math.sqrt(0.25 / draws)
-        assert abs(ones / draws - 0.5) < 3 * sigma
-
-    def test_born_rule_encoding_state(self):
-        theta = 0.3
-        P0 = projector(psi(0, theta))
-        rest = HermitianOperator(np.eye(2) - P0.entries)
-        rng = np.random.default_rng(2)
-        draws = 20_000
-        hits = sum(
-            born_sample(psi(1, theta), [P0, rest], rng) == 0 for _ in range(draws)
-        )
-        p = math.sin(theta) ** 2
-        sigma = math.sqrt(p * (1 - p) / draws)
-        assert abs(hits / draws - p) < 3 * sigma
-
-    def test_incomplete_measurement(self):
-        P0 = projector(ket([1, 0]))
-        with pytest.raises(IncompleteMeasurement):
-            born_sample(ket([1, 0]), [P0], np.random.default_rng(0))
-
-    def test_seed_determinism(self):
-        projs = self.basis_projectors()
-        a = [born_sample(ket([1, 1j]), projs, np.random.default_rng(9)) for _ in range(50)]
-        b = [born_sample(ket([1, 1j]), projs, np.random.default_rng(9)) for _ in range(50)]
-        assert a == b
 
 
 class TestDensityMatrix:
