@@ -91,7 +91,7 @@ def generate_bits(batch: np.ndarray, rng: np.random.Generator) -> tuple[str, str
 
 
 def zero_prefix_score(bits: str) -> float:
-    """Default scoring rule: length of the leading all-zero prefix."""
+    """Length of the leading all-zero prefix of a bit string."""
     n = 0
     for b in bits:
         if b != "0":
@@ -100,18 +100,15 @@ def zero_prefix_score(bits: str) -> float:
     return float(n)
 
 
-def bob_best_of_M(
-    params: CoinTossParams,
-    rng: np.random.Generator,
-    score=zero_prefix_score,
-) -> tuple[float, int]:
+def bob_best_of_M(params: CoinTossParams, rng: np.random.Generator) -> tuple[float, int]:
     """One measure-then-choose session against honest singlet batches.
 
-    Returns (best score, chosen batch index).  Averaged over sessions the
-    best zero-prefix length tracks log2(M).
+    Returns (best zero-prefix score, chosen batch index); ties go to the
+    lowest index.  Averaged over sessions the best zero-prefix length tracks
+    log2(M).
     """
     # Honest singlets give Bob uniform bits; sample all M batches at once.
     bits = rng.integers(0, 2, size=(params.M, params.N))
-    strings = ["".join(map(str, row)) for row in bits]
-    chosen = max(range(params.M), key=lambda i: score(strings[i]))
-    return score(strings[chosen]), chosen
+    prefix = np.where(bits.any(axis=1), np.argmax(bits != 0, axis=1), params.N)
+    chosen = int(np.argmax(prefix))
+    return float(prefix[chosen]), chosen

@@ -124,6 +124,16 @@ class TestCheat:
             top = qmath.hermitian_eigen(Q).eigenvalues[0]
             assert bitwise.cheat_bound(theta) == pytest.approx(top, abs=1e-9)
 
+    def test_cheat_vector_closed_form(self):
+        # The top eigenvector of P0 + P1 is (psi0 + psi1) / ||psi0 + psi1||,
+        # up to a global phase.
+        for theta in (0.05, 0.1, 0.3, 0.6, 1.0, math.pi / 2):
+            psi0 = bitwise.encode_bit(0, theta).amplitudes
+            psi1 = bitwise.encode_bit(1, theta).amplitudes
+            closed = (psi0 + psi1) / np.linalg.norm(psi0 + psi1)
+            cheat, _, _ = bitwise.optimal_bit_cheat(theta)
+            assert abs(np.vdot(closed, cheat.amplitudes)) == pytest.approx(1, abs=1e-9)
+
     def test_bound_below_linear(self):
         for theta in np.linspace(0.01, math.pi / 2, 25):
             assert bitwise.cheat_bound(theta) <= 1 + theta + 1e-12
@@ -171,6 +181,12 @@ class TestEnsemble:
     def test_size_guard(self):
         with pytest.raises(TooLarge):
             bitwise.bob_ensemble(11, 0.3)
+
+    def test_entropy_at_size_guard(self):
+        # dim 2**MAX_EXACT_N = 1024 is within the eigenvalue path's guard
+        n, theta = bitwise.MAX_EXACT_N, 0.3
+        exact = qmath.von_neumann_entropy(bitwise.bob_ensemble(n, theta))
+        assert exact == pytest.approx(bitwise.bob_entropy(n, theta), abs=1e-9)
 
     def test_entropy_limits(self):
         assert bitwise.bob_entropy(5, math.pi / 2) == pytest.approx(0, abs=1e-12)

@@ -111,10 +111,13 @@ class TestRun:
              "r must"),
             (["run", "--protocol", "codebook", "--dim", "4", "--alice", "multistring:r=2.5"],
              "r must"),
+            (["run", "--protocol", "codebook", "--dim", "257", "--construction", "simplex",
+              "--alice", "multistring:r=2"], "exceeds the Jacobi guard 256"),
         ],
         ids=["trials-0", "unknown-param", "non-number", "fraction-2",
              "advantage-no-pairs", "detection-no-pairs", "reveal-bit-2",
-             "reveal-bit-fraction", "r-above-count", "r-negative", "r-fraction"],
+             "reveal-bit-fraction", "r-above-count", "r-negative", "r-fraction",
+             "dim-above-jacobi-guard"],
     )
     def test_bad_input_runtime_error(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv, "--seed", "1")

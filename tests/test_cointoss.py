@@ -266,6 +266,32 @@ class TestBestOfM:
             assert abs(means[-1] - math.log2(M)) < 2
         assert means == sorted(means)
 
+    def test_advantage_matches_closed_form(self):
+        # E[max of M zero-prefix lengths] = sum_k P(max >= k)
+        #                                  = sum_k [1 - (1 - 2^-k)^M]
+        # Same rng and sessions as test_advantage_tracks_log_m; the 4-sigma
+        # bound was fixed before any run.
+        rng = np.random.default_rng(1)
+        for M in (4, 64, 1024):
+            params = CoinTossParams(M=M, N=64)
+            scores = [bob_best_of_M(params, rng)[0] for _ in range(500)]
+            exact = sum(1 - (1 - 2.0**-k) ** M for k in range(1, 65))
+            stderr = np.std(scores) / math.sqrt(len(scores))
+            assert abs(np.mean(scores) - exact) < 4 * stderr
+
+    @pytest.mark.parametrize("M, N", [(2, 64), (3, 1), (16, 64), (64, 8), (1024, 64)])
+    def test_matches_string_scoring(self, M, N):
+        # Reference: score each batch's bit string with zero_prefix_score and
+        # keep the first best, replaying the same draws.
+        params = CoinTossParams(M=M, N=N)
+        rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(50):
+            bits = replay.integers(0, 2, size=(M, N))
+            strings = ["".join(map(str, row)) for row in bits]
+            chosen = max(range(M), key=lambda i: zero_prefix_score(strings[i]))
+            expected = (zero_prefix_score(strings[chosen]), chosen)
+            assert bob_best_of_M(params, rng) == expected
+
     def test_chosen_index_attains_best(self):
         params = CoinTossParams(M=8, N=16)
         rng = np.random.default_rng(2)

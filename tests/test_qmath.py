@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mistrustq import qmath
+from mistrustq import bitwise, qmath
 from mistrustq.errors import (
     DimMismatch,
     DomainError,
+    TooLarge,
     ZeroVector,
 )
 from mistrustq.qmath import (
@@ -17,6 +18,7 @@ from mistrustq.qmath import (
     binary_entropy,
     haar_state,
     hermitian_eigen,
+    hermitian_eigenvalues,
     inner,
     ket,
     projector,
@@ -140,6 +142,80 @@ class TestHermitianEigen:
         U = np.column_stack([v.amplitudes for v in eig.eigenvectors])
         assert np.abs(U.conj().T @ U - np.eye(n)).max() < 1e-9
         assert (np.diff(eig.eigenvalues) <= 1e-12).all()
+
+    def test_size_guard(self):
+        n = qmath.MAX_JACOBI_DIM + 1
+        with pytest.raises(TooLarge):
+            hermitian_eigen(HermitianOperator(np.zeros((n, n))))
+
+
+class TestHermitianEigenvalues:
+    """The eigenvalues-only path against numpy's eigvalsh and against Jacobi,
+    which shares no code with it."""
+
+    def check(self, H):
+        H = HermitianOperator(H)
+        w = hermitian_eigenvalues(H)
+        tol = 1e-12 * max(1.0, np.linalg.norm(H.entries))
+        assert w.shape == (H.dim,)
+        assert np.abs(w - np.linalg.eigvalsh(H.entries)[::-1]).max() <= tol
+        assert np.abs(w - hermitian_eigen(H).eigenvalues).max() <= tol
+        return w
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_hermitian(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 65))
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        self.check((M + M.conj().T) / 2)
+
+    def test_one_by_one(self):
+        np.testing.assert_allclose(self.check([[-2.5]]), [-2.5], rtol=1e-15)
+
+    def test_two_by_two(self):
+        # [[a, b], [b*, c]] has eigenvalues (a + c)/2 +/- sqrt(((a - c)/2)^2 + |b|^2)
+        w = self.check([[1.0, 2 - 1j], [2 + 1j, -3.0]])
+        np.testing.assert_allclose(w, [-1 + 3, -1 - 3], atol=1e-14)
+
+    def test_diagonal(self):
+        w = self.check(np.diag([0.5, -1.0, 3.0, 0.5, 2.0]))
+        np.testing.assert_allclose(w, [3.0, 2.0, 0.5, 0.5, -1.0], atol=1e-14)
+
+    def test_block_diagonal(self):
+        # The first Householder column is zero below the diagonal.
+        A = np.array([[2.0, 1j, 0.5], [-1j, 0.0, 1.0], [0.5, 1.0, -1.0]])
+        H = np.zeros((5, 5), dtype=complex)
+        H[0, 0] = 4.0
+        H[1:4, 1:4] = A
+        H[4, 4] = -2.0
+        w = self.check(H)
+        expected = np.sort(np.concatenate(([4.0, -2.0], np.linalg.eigvalsh(A))))[::-1]
+        np.testing.assert_allclose(w, expected, atol=1e-13)
+
+    def test_zero_matrix(self):
+        np.testing.assert_allclose(self.check(np.zeros((6, 6))), 0, atol=1e-300)
+
+    def test_rank_one_projector(self):
+        v = haar_state(7, np.random.default_rng(4))
+        w = self.check(projector(v).entries)
+        np.testing.assert_allclose(w, [1, 0, 0, 0, 0, 0, 0], atol=1e-14)
+
+    def test_binomial_multiplicities(self):
+        # bob_ensemble(n, theta) = rho1^(x n): eigenvalue p^k (1-p)^(n-k) with
+        # multiplicity C(n, k), p = (1 + sin theta) / 2.
+        n, theta = 6, 1.0
+        p = (1 + math.sin(theta)) / 2
+        expected = np.sort(np.concatenate([
+            np.full(math.comb(n, k), p**k * (1 - p) ** (n - k)) for k in range(n + 1)
+        ]))[::-1]
+        w = self.check(bitwise.bob_ensemble(n, theta).entries)
+        np.testing.assert_allclose(w, expected, atol=1e-14)
+
+    def test_size_guard(self):
+        n = qmath.MAX_EIGENVALUES_DIM + 1
+        with pytest.raises(TooLarge):
+            hermitian_eigenvalues(HermitianOperator(np.zeros((n, n))))
 
 
 class TestEntropy:
