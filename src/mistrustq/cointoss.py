@@ -79,15 +79,25 @@ def singlet_test(batch: np.ndarray, rng: np.random.Generator) -> bool:
     return bool((outcomes == SINGLET_OUTCOME).all())
 
 
+def measure_z(batches: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Joint sigma_z outcome 2*alice_bit + bob_bit per pair of a (..., 4)
+    array, one uniform per pair in order; +1 maps to bit 0."""
+    outcomes = _sample_rows(np.abs(batches.reshape(-1, 4)) ** 2, rng)
+    return outcomes.reshape(batches.shape[:-1])
+
+
+def bit_strings(outcomes: np.ndarray) -> tuple[str, str]:
+    """Alice's and Bob's bit strings from one batch's sigma_z outcomes."""
+    digits = np.stack((outcomes >> 1, outcomes & 1)).astype(np.uint8) + ord("0")
+    return digits[0].tobytes().decode(), digits[1].tobytes().decode()
+
+
 def generate_bits(batch: np.ndarray, rng: np.random.Generator) -> tuple[str, str]:
-    """Joint sigma_z measurement per pair of an (N, 4) batch; +1 maps to bit 0.
+    """Joint sigma_z measurement per pair of an (N, 4) batch.
 
     For honest singlets the two strings are exact complements.
     """
-    outcomes = _sample_rows(np.abs(batch) ** 2, rng)
-    alice = "".join(str(k >> 1) for k in outcomes)
-    bob = "".join(str(k & 1) for k in outcomes)
-    return alice, bob
+    return bit_strings(measure_z(batch, rng))
 
 
 def zero_prefix_score(bits: str) -> float:
@@ -100,6 +110,14 @@ def zero_prefix_score(bits: str) -> float:
     return float(n)
 
 
+def best_zero_prefix(bits: np.ndarray) -> tuple[float, int]:
+    """(zero_prefix_score, row) of the first row of an (M, N) bit array with
+    the longest all-zero prefix; an all-zero row scores N."""
+    prefix = np.where(bits.any(axis=1), np.argmax(bits != 0, axis=1), bits.shape[1])
+    row = int(np.argmax(prefix))
+    return float(prefix[row]), row
+
+
 def bob_best_of_M(params: CoinTossParams, rng: np.random.Generator) -> tuple[float, int]:
     """One measure-then-choose session against honest singlet batches.
 
@@ -108,7 +126,4 @@ def bob_best_of_M(params: CoinTossParams, rng: np.random.Generator) -> tuple[flo
     log2(M).
     """
     # Honest singlets give Bob uniform bits; sample all M batches at once.
-    bits = rng.integers(0, 2, size=(params.M, params.N))
-    prefix = np.where(bits.any(axis=1), np.argmax(bits != 0, axis=1), params.N)
-    chosen = int(np.argmax(prefix))
-    return float(prefix[chosen]), chosen
+    return best_zero_prefix(rng.integers(0, 2, size=(params.M, params.N)))

@@ -5,6 +5,10 @@ message.  Transcripts serialize to JSON lines and replay byte-identically
 for equal inputs.  Quantum states appear in the transcript for replay
 purposes but are never handed to the receiving strategy: a strategy only
 ever sees the classical face of each message addressed to its party.
+
+Quantum payloads ("states", "state") are read-only complex arrays in memory
+and nested [re, im] lists on disk; ``deserialize`` returns the lists.  Two
+messages are equal iff their serialized lines are equal.
 """
 
 from __future__ import annotations
@@ -32,7 +36,10 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
 
 
 def format_value(obj) -> str:
-    """JSON with floats at 17 significant digits (lossless for float64)."""
+    """JSON with floats at 17 significant digits (lossless for float64); an
+    ndarray as ``format_value(np.stack((a.real, a.imag), -1).tolist())``."""
+    if isinstance(obj, np.ndarray):
+        return _format_amplitudes(obj)
     if isinstance(obj, dict):
         inner = ", ".join(
             f"{json.dumps(str(k))}: {format_value(v)}" for k, v in obj.items()
@@ -51,12 +58,39 @@ def format_value(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-@dataclass(frozen=True)
+def _format_amplitudes(a: np.ndarray) -> str:
+    """Format each distinct innermost vector once, keyed by its bit pattern
+    (so -0.0 stays apart from 0.0), then join the strings outward by shape."""
+    pairs = np.stack((a.real, a.imag), -1)
+    if a.ndim <= 1 or a.size == 0:
+        return format_value(pairs.tolist())
+    rows = pairs.reshape(-1, 2 * a.shape[-1])
+    keys = rows.view(np.dtype((np.void, rows[0].nbytes))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = [format_value(v) for v in pairs.reshape(-1, a.shape[-1], 2)[first].tolist()]
+    out = [distinct[k] for k in inverse.tolist()]
+    for n in reversed(a.shape[:-1]):
+        out = ["[" + ", ".join(out[i : i + n]) + "]" for i in range(0, len(out), n)]
+    return out[0]
+
+
+@dataclass(frozen=True, eq=False)
 class Message:
     seq: int
     sender: str  # "alice" | "bob"
     kind: str
     payload: dict
+
+    def __eq__(self, other):
+        if not isinstance(other, Message):
+            return NotImplemented
+        return _message_line(self) == _message_line(other)
+
+
+def _message_line(m: Message) -> str:
+    return format_value(
+        {"seq": m.seq, "sender": m.sender, "kind": m.kind, "payload": m.payload}
+    )
 
 
 @dataclass
@@ -91,12 +125,7 @@ def serialize(t: Transcript) -> bytes:
             }
         )
     ]
-    for m in t.messages:
-        lines.append(
-            format_value(
-                {"seq": m.seq, "sender": m.sender, "kind": m.kind, "payload": m.payload}
-            )
-        )
+    lines += [_message_line(m) for m in t.messages]
     lines.append(format_value({"verdict": t.verdict}))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -158,12 +187,12 @@ def _classical_view(payload: dict) -> dict:
     }
 
 
-_REGISTRY: dict[tuple[str, str, str], type] = {}
+_REGISTRY: dict[tuple[str, str, str], tuple[type, inspect.Signature]] = {}
 
 
 def register_strategy(protocol: str, party: str, name: str):
     def deco(cls):
-        _REGISTRY[(protocol, party, name)] = cls
+        _REGISTRY[(protocol, party, name)] = cls, inspect.signature(cls)
         return cls
 
     return deco
@@ -173,9 +202,9 @@ def resolve_strategy(protocol: str, desc: StrategyDescriptor) -> SessionStrategy
     key = (protocol, desc.party, desc.name)
     if key not in _REGISTRY:
         raise UnknownStrategy(f"no {desc.party} strategy {desc.name!r} for {protocol}")
-    cls = _REGISTRY[key]
+    cls, signature = _REGISTRY[key]
     try:
-        inspect.signature(cls).bind(**desc.parameters)
+        signature.bind(**desc.parameters)
     except TypeError as exc:
         raise UnknownStrategy(f"{desc.party} strategy {desc.name!r}: {exc}") from None
     return cls(**desc.parameters)
@@ -189,9 +218,11 @@ def _int_param(name: str, value, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
-def _amps_json(amplitudes: np.ndarray) -> list:
-    """Complex array of any shape as nested lists ending in [re, im] pairs."""
-    return np.stack((amplitudes.real, amplitudes.imag), -1).tolist()
+def _quantum(amplitudes: np.ndarray) -> np.ndarray:
+    """A read-only complex copy, so the sent payload cannot change later."""
+    a = np.array(amplitudes, dtype=complex)
+    a.setflags(write=False)
+    return a
 
 
 def _send_verdict(t: Transcript, alice, failing_index) -> None:
@@ -248,7 +279,7 @@ def _run_bitwise(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
         theta=params_dict["theta"], n=params_dict["n"], m=params_dict.get("m", 0)
     )
     states = alice.pick_states(params, rng)
-    msg = t.append("alice", "commit", {"n": params.n, "states": _amps_json(states)})
+    msg = t.append("alice", "commit", {"n": params.n, "states": _quantum(states)})
     bob.observe(msg, _classical_view(msg.payload))
     msg = t.append("bob", "commit_ack", {})
     alice.observe(msg, msg.payload)
@@ -313,7 +344,7 @@ def build_codebook(params_dict: dict, seed: int):
 def _run_codebook(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
     cb = build_codebook(params_dict, t.seed)
     state = alice.pick_state(cb, rng)
-    msg = t.append("alice", "commit", {"state": _amps_json(state)})
+    msg = t.append("alice", "commit", {"state": _quantum(state)})
     bob.observe(msg, _classical_view(msg.payload))
     msg = t.append("bob", "commit_ack", {})
     alice.observe(msg, msg.payload)
@@ -389,16 +420,14 @@ class _BestOfMTossBob(SessionStrategy):
 def _run_cointoss(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
     params = cointoss.CoinTossParams(M=params_dict["M"], N=params_dict["N"])
     batches = alice.prepare(params, rng)
-    payload = {"M": params.M, "N": params.N, "states": _amps_json(batches)}
+    payload = {"M": params.M, "N": params.N, "states": _quantum(batches)}
     msg = t.append("alice", "prepare", payload)
     bob.observe(msg, _classical_view(msg.payload))
 
     if bob.cheating:
-        measured = [cointoss.generate_bits(b, rng) for b in batches]
-        kept = max(
-            range(params.M),
-            key=lambda i: cointoss.zero_prefix_score(measured[i][1]),
-        )
+        outcomes = cointoss.measure_z(batches, rng)
+        _, kept = cointoss.best_zero_prefix(outcomes & 1)
+        measured = cointoss.bit_strings(outcomes[kept])
     else:
         measured = None
         kept = int(rng.integers(params.M))
@@ -420,10 +449,9 @@ def _run_cointoss(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
         t.verdict = "CheatDetected"
         return
 
-    if measured is not None:
-        a_bits, b_bits = measured[kept]
-    else:
-        a_bits, b_bits = cointoss.generate_bits(batches[kept], rng)
+    if measured is None:
+        measured = cointoss.generate_bits(batches[kept], rng)
+    a_bits, b_bits = measured
     msg = t.append("alice", "alice_bits", {"bits": a_bits})
     bob.observe(msg, msg.payload)
     msg = t.append("bob", "bob_bits", {"bits": b_bits})

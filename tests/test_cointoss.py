@@ -6,8 +6,11 @@ import pytest
 
 from mistrustq.cointoss import (
     CoinTossParams,
+    best_zero_prefix,
+    bit_strings,
     bob_best_of_M,
     generate_bits,
+    measure_z,
     product_pair,
     singlet,
     singlet_test,
@@ -175,6 +178,20 @@ class TestGenerateBits:
         a, b = generate_bits(batch, rng)
         assert a == "000000"
         assert b == "111111"
+
+    def test_one_call_matches_per_batch(self):
+        # measure_z over all M batches makes the draws of M generate_bits
+        # calls in turn, and best_zero_prefix keeps the batch that the first
+        # best zero_prefix_score of Bob's strings keeps.
+        batches = np.tile(singlet(), (16, 64, 1))
+        batches[5, :20] = product_pair(1, 0)
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        outcomes = measure_z(batches, rng)
+        expected = [generate_bits(b, replay) for b in batches]
+        assert [bit_strings(o) for o in outcomes] == expected
+        assert rng.random() == replay.random()
+        _, kept = best_zero_prefix(outcomes & 1)
+        assert kept == max(range(16), key=lambda i: zero_prefix_score(expected[i][1]))
 
 
 class TestRunCoinToss:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,111 @@ class TestStrategyIsolation:
         _, bob = self.run_with_probes("BitwiseCommit", {"theta": 0.3, "n": 2})
         commit_views = [v for _, kind, v in bob.observed if kind == "commit"]
         assert commit_views and commit_views[0]["states"] == "<quantum>"
+
+
+def _complex(re, im):
+    a = np.empty(np.shape(re), dtype=complex)
+    a.real, a.imag = re, im
+    return a
+
+
+def _list_path(a):
+    return harness.format_value(np.stack((a.real, a.imag), -1).tolist())
+
+
+class TestAmplitudeFormat:
+    # Values that a value-keyed memo or a short repr would get wrong: signed
+    # zeros, subnormals, and values that need all 17 digits.
+    SPECIAL = [0.0, -0.0, 5e-324, -1e-310, 0.1 + 0.2, 1 / 3, math.sqrt(0.5), -math.sqrt(0.5), 1.0]
+
+    def special(self, shape, rows, seed):
+        """A complex array whose innermost vectors repeat: drawn from `rows`
+        distinct vectors built from SPECIAL."""
+        rng = np.random.default_rng(seed)
+        *outer, d = shape
+        pool = rng.choice(self.SPECIAL, size=(2, rows, d))
+        pool[:, 1] = pool[:, 0]
+        pool[:, 0, 0], pool[:, 1, 0] = 0.0, -0.0  # rows 0, 1 differ in zero signs
+        pick = rng.integers(rows, size=outer)
+        pick.flat[:2] = [0, 1][: pick.size]
+        return _complex(pool[0][pick], pool[1][pick])
+
+    @pytest.mark.parametrize("shape", [(5,), (7, 2), (3, 5, 4), (16, 64, 4)])
+    def test_matches_list_path(self, shape):
+        for seed in range(5):
+            a = self.special(shape, rows=4, seed=seed)
+            assert harness.format_value(a) == _list_path(a)
+
+    def test_signed_zeros_stay_apart(self):
+        a = _complex([[0.0], [0.0], [-0.0], [-0.0]], [[0.0], [-0.0], [0.0], [-0.0]])
+        assert harness.format_value(a) == "[[[0, 0]], [[0, -0]], [[-0, 0]], [[-0, -0]]]"
+
+    def test_random_and_empty(self):
+        rng = np.random.default_rng(3)
+        for shape in [(1, 1), (4, 3, 2), (2, 0, 4), (0,)]:
+            a = _complex(rng.normal(size=shape), rng.normal(size=shape))
+            assert harness.format_value(a) == _list_path(a)
+
+
+ROUND_TRIP = [
+    (
+        "BitwiseCommit",
+        {"theta": 0.3, "n": 4},
+        StrategyDescriptor("alice", "cheat_state"),
+        BOB_HONEST,
+    ),
+    (
+        "CodebookCommit",
+        {"dim": 4, "count": 8, "epsilon": 0.9},
+        StrategyDescriptor("alice", "multistring", {"r": 2}),
+        BOB_HONEST,
+    ),
+    (
+        "CoinToss",
+        {"M": 4, "N": 8},
+        StrategyDescriptor("alice", "tamper", {"fraction": 0.25, "target_bit": 1}),
+        BOB_HONEST,
+    ),
+    ("CoinToss", {"M": 4, "N": 8}, ALICE_HONEST, StrategyDescriptor("bob", "best_of_m")),
+]
+
+
+class TestArrayPayloads:
+    @pytest.mark.parametrize("protocol,params,alice,bob", ROUND_TRIP)
+    def test_round_trip(self, protocol, params, alice, bob):
+        for seed in (3, 4):
+            t = run_session(protocol, params, alice, bob, seed)
+            data = serialize(t)
+            back = deserialize(data)
+            assert back.messages == t.messages
+            assert serialize(back) == data
+
+    def test_payload_arrays_are_read_only(self):
+        for protocol, params, alice, bob in ROUND_TRIP:
+            t = run_session(protocol, params, alice, bob, 1)
+            sent = t.messages[0].payload
+            amps = sent["states"] if "states" in sent else sent["state"]
+            with pytest.raises(ValueError):
+                amps[0] = 0
+
+    def test_sender_array_changes_after_append_do_not_reach_transcript(self):
+        params = {"M": 3, "N": 4}
+        expected = serialize(run_session("CoinToss", params, ALICE_HONEST, BOB_HONEST, 8))
+        alice = harness.resolve_strategy("CoinToss", ALICE_HONEST)
+        prepared = []
+        prepare = alice.prepare
+        alice.prepare = lambda p, rng: prepared.append(prepare(p, rng)) or prepared[-1]
+        bob = harness.resolve_strategy("CoinToss", BOB_HONEST)
+        t = Transcript(protocol="CoinToss", params=params, seed=8)
+        harness._DRIVERS["CoinToss"](params, alice, bob, rng_stream(8, "session"), t)
+        prepared[0][:] = 1.0
+        assert serialize(t) == expected
+
+    def test_messages_differing_in_payload_are_unequal(self):
+        t = run_session("BitwiseCommit", {"theta": 0.3, "n": 2}, ALICE_HONEST, BOB_HONEST, 2)
+        m = t.messages[0]
+        flipped = m.payload["states"].copy()
+        flipped[0, 0] = -flipped[0, 0]
+        other = harness.Message(m.seq, m.sender, m.kind, {**m.payload, "states": flipped})
+        assert other != m
+        assert other == harness.Message(m.seq, m.sender, m.kind, dict(other.payload))
