@@ -25,6 +25,10 @@ from . import qmath
 from .qmath import HermitianOperator, StateVector
 
 MAX_REPORT_DIM = 256
+# Greedy-fill screening width: acceptance re-screens only the rest of one
+# chunk, so neither a nearly empty nor a nearly full acceptance region
+# costs a pass over a whole 4096-candidate block per accepted vector.
+FILL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,12 @@ def _greedy_fill(
 ) -> np.ndarray:
     """Greedy rejection sampling of Haar candidates; returns the accepted rows.
 
-    Sampling stops early once a whole block of candidates is rejected:
-    acceptance has stalled, and the shortfall is left to the repulsion polish.
+    Candidates are taken in draw order, FILL_CHUNK at a time: the chunk is
+    screened against every accepted row at once, then its first survivor is
+    accepted and the rest of the chunk is screened against it, until the
+    chunk is empty.  Sampling stops early once a whole block of candidates
+    is rejected: acceptance has stalled, and the shortfall is left to the
+    repulsion polish.
     """
     V = np.empty((count, d), dtype=complex)
     k = used = 0
@@ -117,13 +125,13 @@ def _greedy_fill(
         z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         used += b
-        z = z[(np.abs(z @ V[:k].conj().T) < epsilon).all(axis=1)]
         before = k
-        for v in z:
-            if (np.abs(V[:k].conj() @ v) >= epsilon).any():
-                continue
-            V[k] = v
-            k += 1
+        for c in np.split(z, range(FILL_CHUNK, b, FILL_CHUNK)):
+            c = c[(np.abs(c @ V[:k].conj().T) < epsilon).all(axis=1)]
+            while c.shape[0] and k < count:
+                V[k] = c[0]
+                c = c[1:][np.abs(c[1:] @ V[k].conj()) < epsilon]
+                k += 1
             if k == count:
                 break
         if k == before:

@@ -31,12 +31,16 @@ JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 # Size guards, one per spectral path, set from measured cost (random
 # Hermitian input, one thread): Jacobi with eigenvectors takes 0.6-1.1 s at
-# n = 128 and 3.5-6.4 s at n = 256; the eigenvalues-only path takes 2-3 s at
-# n = 1024, the dimension of bitwise.bob_ensemble at its n guard.
+# n = 128 and 3.5-6.4 s at n = 256.  The eigenvalues-only path takes 3.7-3.9 s
+# at n = 1024 for complex input, most of it in the Householder reduction, and
+# 1.6-2.5 s for real input such as bitwise.bob_ensemble at its n guard
+# (dim 1024).
 MAX_JACOBI_DIM = 256
 MAX_EIGENVALUES_DIM = 1024
-# Bisection halves every eigenvalue interval at most this many times.
-BISECT_MAX_STEPS = 64
+# Each multisection sweep splits every live interval at this many interior
+# points (4 bits); 16 sweeps are 64 halvings' worth.
+MULTISECT_POINTS = 15
+MULTISECT_MAX_SWEEPS = 16
 
 
 def _as_complex_vector(amplitudes) -> np.ndarray:
@@ -235,9 +239,10 @@ def _tridiagonalize(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     P = I - 2 v v^H (v a unit vector) and updates the trailing block as
     S <- S - v w^H - w v^H, with p = 2 S v and w = p - (v^H p) v.  A
     diagonal phase similarity makes the complex subdiagonal real, so only
-    its modulus is kept.
+    its modulus is kept.  A matrix whose imaginary part is exactly zero is
+    reduced in float64 with the same formulas.
     """
-    S = np.array(H, dtype=complex)
+    S = np.array(H, dtype=complex) if H.imag.any() else np.array(H.real, dtype=float)
     n = S.shape[0]
     e = np.zeros(max(n - 1, 0))
     for k in range(n - 2):
@@ -257,13 +262,30 @@ def _tridiagonalize(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S.diagonal().real.copy(), e
 
 
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, x: np.ndarray):
+    """Sturm count at each point of x: the number of negative pivots of
+    T - x I, which is the number of eigenvalues of T below x.  Pivots smaller
+    than pivmin are replaced by -pivmin so no division is by zero."""
+    count = np.zeros(x.shape, dtype=np.intp)
+    q = np.ones(x.shape)
+    for di, e2i in zip(d.tolist(), e2.tolist()):
+        q = di - x - e2i / q
+        q[np.abs(q) < pivmin] = -pivmin
+        count += q < 0
+    return count
+
+
 def _sturm_bisect(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symmetric tridiagonal (d, e), in ascending order.
 
-    Bisection on all n indices at once, from the Gershgorin interval: the
-    Sturm count of a point x is the number of negative pivots of T - x I,
-    which is the number of eigenvalues below x.  Pivots smaller than pivmin
-    are replaced by -pivmin so no division is by zero.
+    Interval multisection from the Gershgorin interval, as in LAPACK's
+    dstebz: each live interval carries the Sturm counts at its ends, and one
+    sweep counts MULTISECT_POINTS evenly spaced interior points of every
+    live interval at once.  Subintervals whose counts agree hold no
+    eigenvalue and are dropped; one at most 4 ulp wide is retired as its
+    midpoint, repeated as often as its count difference says.  The cost
+    follows the number of eigenvalue clusters, not n.  Counts are made
+    monotone along each interval, so the multiplicities always sum to n.
     """
     n = d.size
     radius = np.zeros(n)
@@ -273,30 +295,40 @@ def _sturm_bisect(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     pivmin = np.finfo(float).tiny * max(1.0, e2.max())
     lo0, hi0 = float((d - radius).min()), float((d + radius).max())
     pad = 4 * np.finfo(float).eps * max(abs(lo0), abs(hi0)) + pivmin
-    lo, hi = np.full(n, lo0 - pad), np.full(n, hi0 + pad)
-    index = np.arange(n)
-    for _ in range(BISECT_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = np.zeros(n, dtype=np.intp)
-        q = np.ones(n)
-        for i in range(n):
-            q = d[i] - mid - e2[i] / q
-            q = np.where(np.abs(q) < pivmin, -pivmin, q)
-            below += q < 0
-        left = below > index  # eigenvalue `index` lies below mid
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        if (hi - lo <= 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))).all():
+    lo, hi = np.array([lo0 - pad]), np.array([hi0 + pad])
+    c_lo, c_hi = np.array([0]), np.array([n])
+    steps = np.arange(1, MULTISECT_POINTS + 1) / (MULTISECT_POINTS + 1)
+    mids, mults = [], []
+    for _ in range(MULTISECT_MAX_SWEEPS):
+        done = hi - lo <= 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        mids.append(0.5 * (lo[done] + hi[done]))
+        mults.append(c_hi[done] - c_lo[done])
+        lo, hi, c_lo, c_hi = lo[~done], hi[~done], c_lo[~done], c_hi[~done]
+        if lo.size == 0:
             break
-    return 0.5 * (lo + hi)
+        x = lo[:, None] + (hi - lo)[:, None] * steps
+        c = np.minimum(_sturm_counts(d, e2, pivmin, x), c_hi[:, None])
+        x = np.column_stack((lo, x, hi))
+        c = np.maximum.accumulate(np.column_stack((c_lo, c, c_hi)), axis=1)
+        live = (c[:, 1:] > c[:, :-1]).ravel()
+        lo, hi = x[:, :-1].ravel()[live], x[:, 1:].ravel()[live]
+        c_lo, c_hi = c[:, :-1].ravel()[live], c[:, 1:].ravel()[live]
+    mids.append(0.5 * (lo + hi))
+    mults.append(c_hi - c_lo)
+    mids, mults = np.concatenate(mids), np.concatenate(mults)
+    order = np.argsort(mids, kind="stable")
+    return np.repeat(mids[order], mults[order])
 
 
 def hermitian_eigenvalues(H: HermitianOperator) -> np.ndarray:
     """Eigenvalues alone, in descending order like hermitian_eigen's.
 
-    Householder tridiagonalization then vectorized Sturm bisection (Golub &
-    Van Loan, Matrix Computations, sections 8.4-8.5), accurate to about
-    eps * ||H||_F.  For callers that need no eigenvectors.
+    Householder tridiagonalization (Golub & Van Loan, Matrix Computations,
+    sections 8.4-8.5) then Sturm-count multisection over eigenvalue
+    clusters, so a spectrum with few distinct values, like bob_ensemble's,
+    costs few sweeps.  Accurate to about eps * ||H||_F; every eigenvalue
+    appears as often as its multiplicity.  For callers that need no
+    eigenvectors.
     """
     if H.dim > MAX_EIGENVALUES_DIM:
         raise TooLarge(

@@ -93,6 +93,43 @@ class TestRandomCodebook:
         assert counts == sorted(counts) and counts[-1] > counts[0]
 
 
+def greedy_fill_reference(d, count, epsilon, rng, max_attempts, block=4096):
+    """The per-candidate greedy loop that _greedy_fill vectorizes."""
+    V = np.empty((count, d), dtype=complex)
+    k = used = 0
+    while k < count and used < max_attempts:
+        b = min(block, max_attempts - used)
+        z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        used += b
+        z = z[(np.abs(z @ V[:k].conj().T) < epsilon).all(axis=1)]
+        before = k
+        for v in z:
+            if (np.abs(V[:k].conj() @ v) >= epsilon).any():
+                continue
+            V[k] = v
+            k += 1
+            if k == count:
+                break
+        if k == before:
+            break
+    return V[:k]
+
+
+class TestGreedyFill:
+    @pytest.mark.parametrize(
+        "d, count, epsilon", [(16, 32, 0.25), (8, 16, 0.5), (2, 3, 0.9), (64, 128, 0.6)]
+    )
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_per_candidate_loop(self, d, count, epsilon, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = codebook._greedy_fill(d, count, epsilon, rng, 200_000)
+        expected = greedy_fill_reference(d, count, epsilon, ref_rng, 200_000)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert rng.random() == ref_rng.random()
+
+
 class TestSimplexCodebook:
     def test_triangle(self):
         cb = simplex_codebook(2)

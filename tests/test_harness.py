@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mistrustq import harness
+from mistrustq import bitwise, harness
 from mistrustq.errors import DeserializeError, ProtocolViolation, UnknownStrategy
 from mistrustq.harness import (
     StrategyDescriptor,
@@ -289,3 +289,13 @@ class TestArrayPayloads:
         other = harness.Message(m.seq, m.sender, m.kind, {**m.payload, "states": flipped})
         assert other != m
         assert other == harness.Message(m.seq, m.sender, m.kind, dict(other.payload))
+
+
+class TestCheatRow:
+    @pytest.mark.parametrize("theta", [0.05, 0.3, math.pi / 2])
+    def test_cached_row_is_the_read_only_cheat_state(self, theta):
+        row = harness._cheat_row(theta)
+        assert row is harness._cheat_row(theta)
+        assert row.tobytes() == bitwise.optimal_bit_cheat(theta)[0].amplitudes.tobytes()
+        with pytest.raises(ValueError):
+            row[0] = 0

@@ -170,6 +170,24 @@ class TestHermitianEigenvalues:
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         self.check((M + M.conj().T) / 2)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_clustered_spectrum(self, seed):
+        # U diag(lambda) U^H with lambda drawn from at most 4 values: two pairs
+        # split by about 1e-13 * ||H|| and by 1e-6 * ||H||.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 65))
+        scale = 10.0 ** rng.uniform(-2, 2)
+        a, b = rng.uniform(-1, 1, 2)
+        values = scale * np.array([a, a + 1e-13 * math.sqrt(n), b, b + 1e-6])
+        values = rng.choice(values, size=int(rng.integers(1, 5)), replace=False)
+        lam = rng.choice(values, size=n)
+        Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        U, _ = np.linalg.qr(Z)
+        H = (U * lam) @ U.conj().T
+        w = self.check((H + H.conj().T) / 2)
+        assert w.size == n
+
     def test_one_by_one(self):
         np.testing.assert_allclose(self.check([[-2.5]]), [-2.5], rtol=1e-15)
 
