@@ -63,6 +63,11 @@ def _encode(bits: str, theta: float) -> np.ndarray:
     return psi[[int(b) for b in bits]]
 
 
+def _projectors(theta: float) -> list[np.ndarray]:
+    """[|psi_0><psi_0|, |psi_1><psi_1|] as (2, 2) arrays."""
+    return [np.outer(v, v.conj()) for v in _encode("01", theta)]
+
+
 def encode_bit(bit: int, theta: float) -> StateVector:
     """psi_0 = |0>; psi_1 = sin(theta)|0> + cos(theta)|1>."""
     if bit not in (0, 1):
@@ -110,21 +115,18 @@ def optimal_bit_cheat(theta: float) -> tuple[StateVector, float, float]:
     The optimum is the top eigenvector of P0 + P1; the attained acceptance
     probabilities satisfy p0 + p1 = 1 + sin(theta).
     """
-    _check_theta(theta)
-    psi0 = encode_bit(0, theta)
-    psi1 = encode_bit(1, theta)
-    Q = HermitianOperator(qmath.projector(psi0).entries + qmath.projector(psi1).entries)
-    cheat = qmath.hermitian_eigen(Q).eigenvectors[0]
-    p0 = abs(qmath.inner(psi0, cheat)) ** 2
-    p1 = abs(qmath.inner(psi1, cheat)) ** 2
+    P0, P1 = _projectors(theta)
+    V = qmath.hermitian_eigen(HermitianOperator(P0 + P1)).eigenvectors
+    cheat = qmath.ket(V[:, 0])
+    psi0, psi1 = _encode("01", theta)
+    p0 = abs(complex(np.vdot(psi0, cheat.amplitudes))) ** 2
+    p1 = abs(complex(np.vdot(psi1, cheat.amplitudes))) ** 2
     return cheat, p0, p1
 
 
 def single_bit_mixture(theta: float) -> DensityMatrix:
     """Equal mixture of the two encoding states (one qubit of the ensemble)."""
-    _check_theta(theta)
-    P0 = qmath.projector(encode_bit(0, theta)).entries
-    P1 = qmath.projector(encode_bit(1, theta)).entries
+    P0, P1 = _projectors(theta)
     return DensityMatrix(0.5 * (P0 + P1))
 
 
@@ -176,19 +178,16 @@ def min_n_for(r: int, theta: float) -> int:
     return n
 
 
-def helstrom_measurement(theta: float) -> tuple[HermitianOperator, HermitianOperator]:
+def helstrom_measurement(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Optimal projective measurement for discriminating psi_0 and psi_1.
 
-    Projectors onto the positive and negative eigenspaces of P0 - P1; a
-    "+" outcome is read as bit 0.
+    Projectors, as (2, 2) arrays, onto the positive and negative eigenspaces
+    of P0 - P1; a "+" outcome is read as bit 0.
     """
-    _check_theta(theta)
-    P0 = qmath.projector(encode_bit(0, theta)).entries
-    P1 = qmath.projector(encode_bit(1, theta)).entries
-    eig = qmath.hermitian_eigen(HermitianOperator(P0 - P1))
-    plus = qmath.projector(eig.eigenvectors[0])
-    minus = qmath.projector(eig.eigenvectors[1])
-    return plus, minus
+    P0, P1 = _projectors(theta)
+    V = qmath.hermitian_eigen(HermitianOperator(P0 - P1)).eigenvectors
+    plus, minus = (qmath.ket(V[:, k]).amplitudes for k in (0, 1))
+    return np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
 
 
 def helstrom_attack(
@@ -207,12 +206,11 @@ def helstrom_attack(
     if trials < 1_000:
         raise DomainError("trials must be >= 1e3")
     plus, minus = helstrom_measurement(theta)
-    psi0 = encode_bit(0, theta)
-    psi1 = encode_bit(1, theta)
+    psi0, psi1 = _encode("01", theta)
     # Outcome statistics per committed bit; the per-qubit simulation reduces
     # to a Bernoulli draw with these exact Born probabilities.
-    p_correct_0 = float(np.real(np.vdot(psi0.amplitudes, plus.entries @ psi0.amplitudes)))
-    p_correct_1 = float(np.real(np.vdot(psi1.amplitudes, minus.entries @ psi1.amplitudes)))
+    p_correct_0 = float(np.real(np.vdot(psi0, plus @ psi0)))
+    p_correct_1 = float(np.real(np.vdot(psi1, minus @ psi1)))
     total = trials * n
     bits = rng.integers(0, 2, size=total)
     p = np.where(bits == 0, p_correct_0, p_correct_1)

@@ -56,11 +56,17 @@ def _write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
 
 
 def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
+    values = [float(x) for x in text.split(",") if x != ""]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+    values = [int(x) for x in text.split(",") if x != ""]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def _number(key: str, text: str):
@@ -109,7 +115,7 @@ def cmd_bounds(args) -> int:
 
 def _session_params(args) -> dict:
     if args.protocol == "bitwise":
-        return {"theta": args.theta[0], "n": args.n[0], "m": args.m}
+        return {"theta": args.theta, "n": args.n, "m": args.m}
     if args.protocol == "codebook" and args.construction == "simplex":
         return {"dim": args.dim, "construction": "simplex"}
     if args.protocol == "codebook":
@@ -186,6 +192,10 @@ class SweepSpec:
             raise InvalidSpec("trials must be >= 1")
         if self.variable in self.fixed:
             raise InvalidSpec(f"variable {self.variable!r} also appears in fixed")
+        if self.variable in ("M", "N", "n", "r"):
+            if not all(float(v).is_integer() for v in self.values):
+                raise InvalidSpec(f"{self.variable} takes integers, got {self.values}")
+            object.__setattr__(self, "values", [int(v) for v in self.values])
 
 
 # Sweep parameters whose flag is not --<name>.
@@ -246,8 +256,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 def cmd_sweep(args) -> int:
     fixed = {}
     for key, val in (
-        ("theta", args.theta[0] if args.theta else None),
-        ("n", args.n[0] if args.n else None),
+        ("theta", args.theta),
+        ("n", args.n),
         ("r", args.r),
         ("epsilon", args.epsilon),
         ("M", args.batches),
@@ -256,9 +266,10 @@ def cmd_sweep(args) -> int:
     ):
         if val is not None:
             fixed[key] = val
-    values: list = _floats(args.values)
-    if all(float(v).is_integer() for v in values) and args.variable in ("M", "N", "n", "r"):
-        values = [int(v) for v in values]
+    try:
+        values = _floats(args.values)
+    except ValueError:
+        raise InvalidSpec(f"--values {args.values!r} is not a number list") from None
     fixed.pop(args.variable, None)
     spec = SweepSpec(
         variable=args.variable,
@@ -294,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="run protocol sessions and summarize")
     r.add_argument("--protocol", choices=tuple(PROTOCOL_NAMES), required=True)
-    r.add_argument("--theta", type=_floats, default=[0.3])
-    r.add_argument("--n", type=_ints, default=[1])
+    r.add_argument("--theta", type=float, default=0.3)
+    r.add_argument("--n", type=int, default=1)
     r.add_argument("--m", type=int, default=0)
     r.add_argument("--dim", type=int, default=4)
     r.add_argument("--count", type=int, default=8)
@@ -319,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--variable", required=True)
     s.add_argument("--values", required=True, help="comma list")
     s.add_argument("--trials", type=int, default=1)
-    s.add_argument("--theta", type=_floats)
-    s.add_argument("--n", type=_ints)
+    s.add_argument("--theta", type=float)
+    s.add_argument("--n", type=int)
     s.add_argument("--r", type=int)
     s.add_argument("--epsilon", type=float)
     s.add_argument("--batches", type=int, dest="batches", help="M")

@@ -264,6 +264,10 @@ def cheat_operator(codebook: Codebook, targets) -> HermitianOperator:
 def cheat_bound(r: int, epsilon: float) -> float:
     """Ceiling 1 + (r - 1) * epsilon on the total success probability of
     keeping r revelations alive in an epsilon-certified codebook."""
+    if r < 1:
+        raise DomainError(f"r must be >= 1, got {r}")
+    if not (0.0 < epsilon <= 1.0):
+        raise DomainError(f"epsilon {epsilon} outside (0, 1]")
     return 1.0 + (r - 1) * epsilon
 
 
@@ -275,8 +279,8 @@ def optimal_multistring_cheat(codebook: Codebook, targets) -> CheatReport:
     """
     targets = _check_targets(codebook, targets)
     Q = cheat_operator(codebook, targets)
-    eig = qmath.hermitian_eigen(Q)
-    cheat = eig.eigenvectors[0]
+    w, V = qmath.hermitian_eigen(Q)
+    cheat = qmath.ket(V[:, 0])
     probs = tuple(
         float(abs(np.vdot(codebook.state(t), cheat.amplitudes)) ** 2) for t in targets
     )
@@ -284,7 +288,7 @@ def optimal_multistring_cheat(codebook: Codebook, targets) -> CheatReport:
         target_indices=targets,
         cheat_state=cheat,
         success_probs=probs,
-        total=float(eig.eigenvalues[0]),
+        total=float(w[0]),
         bound=cheat_bound(len(targets), codebook.epsilon),
     )
 

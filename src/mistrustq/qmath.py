@@ -1,16 +1,21 @@
 """Exact small-dimension complex linear algebra and entropy.
 
-All values are immutable after construction and all operations are pure, so
-they are safe to call from concurrent code.  The only stateful object that
-ever appears in a signature is a ``numpy.random.Generator``, which must not
-be shared across concurrent tasks.
+Computation is on plain numpy arrays.  StateVector, HermitianOperator and
+DensityMatrix are the validated types at the boundary: they check their
+input once, hold it read-only, and are what the spectral functions take.
+hermitian_eigen returns its result as (eigenvalues, eigenvectors) arrays,
+with the eigenvectors as columns.  All operations are pure, so they are
+safe to call from concurrent code; the only stateful object that ever
+appears in a signature is a ``numpy.random.Generator``, which must not be
+shared across concurrent tasks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,20 +48,10 @@ MULTISECT_POINTS = 15
 MULTISECT_MAX_SWEEPS = 16
 
 
-def _as_complex_vector(amplitudes) -> np.ndarray:
-    a = np.asarray(amplitudes, dtype=complex).reshape(-1)
+def _read_only(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.setflags(write=False)
     return a
-
-
-def _as_complex_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
-    m = m.copy()
-    m.setflags(write=False)
-    return m
 
 
 @dataclass(frozen=True)
@@ -66,10 +61,11 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _as_complex_vector(self.amplitudes))
+        a = _read_only(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
+        object.__setattr__(self, "amplitudes", a)
         if self.dim < 1:
             raise DimMismatch("state vector must have dimension >= 1")
-        norm = np.linalg.norm(self.amplitudes)
+        norm = np.linalg.norm(a)
         if abs(norm - 1.0) > NORM_TOL:
             raise DomainError(f"state vector norm {norm} is not 1 within {NORM_TOL}")
 
@@ -85,8 +81,11 @@ class HermitianOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
-        dev = np.abs(self.entries - self.entries.conj().T).max()
+        m = np.asarray(self.entries, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
+        object.__setattr__(self, "entries", _read_only(m))
+        dev = np.abs(m - m.conj().T).max()
         if dev > HERMITIAN_TOL:
             raise DomainError(f"matrix deviates from Hermitian by {dev}")
 
@@ -96,16 +95,11 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(HermitianOperator):
     """Hermitian, trace-1, positive-semidefinite operator."""
 
-    entries: np.ndarray
-
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
-        dev = np.abs(self.entries - self.entries.conj().T).max()
-        if dev > HERMITIAN_TOL:
-            raise DomainError(f"matrix deviates from Hermitian by {dev}")
+        super().__post_init__()
         tr = np.trace(self.entries)
         if abs(tr - 1.0) > HERMITIAN_TOL:
             raise DomainError(f"trace {tr} is not 1 within {HERMITIAN_TOL}")
@@ -114,25 +108,13 @@ class DensityMatrix:
         if lo < EIGEN_FLOOR:
             raise DomainError(f"negative eigenvalue {lo} below {EIGEN_FLOOR}")
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
-    def as_operator(self) -> HermitianOperator:
-        return HermitianOperator(self.entries)
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in descending order with orthonormal eigenvectors."""
+class Eigen(NamedTuple):
+    """Eigenvalues in descending order; eigenvectors[:, k] belongs to
+    eigenvalues[k], and the columns are orthonormal."""
 
     eigenvalues: np.ndarray
-    eigenvectors: tuple[StateVector, ...] = field(repr=False)
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild sum(lambda_k |u_k><u_k|) as a plain matrix."""
-        U = np.column_stack([v.amplitudes for v in self.eigenvectors])
-        return (U * self.eigenvalues) @ U.conj().T
+    eigenvectors: np.ndarray
 
 
 def ket(amplitudes) -> StateVector:
@@ -142,29 +124,6 @@ def ket(amplitudes) -> StateVector:
     if norm < 1e-300:
         raise ZeroVector("cannot normalize a (near-)zero vector")
     return StateVector(a / norm)
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product; the first factor is the slow (row-major) index."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
-
-
-def projector(v: StateVector) -> HermitianOperator:
-    """Rank-1 projector |v><v|."""
-    return HermitianOperator(np.outer(v.amplitudes, v.amplitudes.conj()))
-
-
-def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
-    """Haar-random pure state of the given dimension."""
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return ket(z)
 
 
 def _jacobi(H: np.ndarray, tol: float, max_sweeps: int):
@@ -213,22 +172,19 @@ def _jacobi(H: np.ndarray, tol: float, max_sweeps: int):
     )
 
 
-def hermitian_eigen(H: HermitianOperator) -> EigenDecomposition:
+def hermitian_eigen(H: HermitianOperator) -> Eigen:
     """Full eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps run until the off-diagonal Frobenius norm falls to
     JACOBI_TOL * ||H||_F (NoConvergence after JACOBI_MAX_SWEEPS).
-    Eigenvalues come back in descending order; eigenvectors are orthonormal
-    and reconstruct the input within 1e-9 entrywise.
+    Eigenvalues come back in descending order; the eigenvector columns are
+    orthonormal and reconstruct the input within 1e-9 entrywise.
     """
     if H.dim > MAX_JACOBI_DIM:
         raise TooLarge(f"dim {H.dim} exceeds the Jacobi guard {MAX_JACOBI_DIM}")
     w, V = _jacobi(H.entries, JACOBI_TOL, JACOBI_MAX_SWEEPS)
     order = np.argsort(w)[::-1]
-    w = w[order]
-    V = V[:, order]
-    vectors = tuple(ket(V[:, k]) for k in range(H.dim))
-    return EigenDecomposition(eigenvalues=w, eigenvectors=vectors)
+    return Eigen(w[order], V[:, order])
 
 
 def _tridiagonalize(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +306,7 @@ def binary_entropy(p: float) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda log2 lambda, in bits, with 0 log 0 := 0."""
-    w = hermitian_eigenvalues(rho.as_operator())
+    w = hermitian_eigenvalues(rho)
     w = np.clip(w, 0.0, 1.0)
     nz = w[w > 0.0]
     return float(-(nz * np.log2(nz)).sum())

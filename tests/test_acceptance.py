@@ -26,9 +26,8 @@ def test_01_bitwise_cheat_ceiling():
     for theta in THETA_GRID:
         psi0 = bitwise.encode_bit(0, theta)
         psi1 = bitwise.encode_bit(1, theta)
-        Q = qmath.HermitianOperator(
-            qmath.projector(psi0).entries + qmath.projector(psi1).entries
-        )
+        a0, a1 = psi0.amplitudes, psi1.amplitudes
+        Q = qmath.HermitianOperator(np.outer(a0, a0.conj()) + np.outer(a1, a1.conj()))
         top = qmath.hermitian_eigen(Q).eigenvalues[0]
         assert abs(top - (1 + math.sin(theta))) < 1e-9
         _, p0, p1 = bitwise.optimal_bit_cheat(theta)

@@ -117,9 +117,10 @@ class TestCheat:
 
     def test_bound_agrees_with_eigensolver(self):
         for theta in (0.1, 0.3, 1.0):
+            psi0 = bitwise.encode_bit(0, theta).amplitudes
+            psi1 = bitwise.encode_bit(1, theta).amplitudes
             Q = qmath.HermitianOperator(
-                qmath.projector(bitwise.encode_bit(0, theta)).entries
-                + qmath.projector(bitwise.encode_bit(1, theta)).entries
+                np.outer(psi0, psi0.conj()) + np.outer(psi1, psi1.conj())
             )
             top = qmath.hermitian_eigen(Q).eigenvalues[0]
             assert bitwise.cheat_bound(theta) == pytest.approx(top, abs=1e-9)
@@ -249,10 +250,17 @@ class TestHelstrom:
         closed = (1 + math.cos(theta)) / 2
         assert best == pytest.approx(closed, abs=1e-7)
         plus, minus = bitwise.helstrom_measurement(theta)
-        attained = 0.5 * np.real(
-            np.vdot(psi0, plus.entries @ psi0) + np.vdot(psi1, minus.entries @ psi1)
-        )
+        attained = 0.5 * np.real(np.vdot(psi0, plus @ psi0) + np.vdot(psi1, minus @ psi1))
         assert attained == pytest.approx(closed, abs=1e-9)
+
+    def test_measurement_is_a_pair_of_projectors(self):
+        for theta in (0.05, 0.3, 1.0):
+            plus, minus = bitwise.helstrom_measurement(theta)
+            assert plus.shape == minus.shape == (2, 2)
+            for P in (plus, minus):
+                assert np.abs(P @ P - P).max() < 1e-12
+                assert np.abs(P - P.conj().T).max() < 1e-12
+            assert np.abs(plus + minus - np.eye(2)).max() < 1e-12
 
     def test_identical_states_give_no_information(self):
         info, rate = bitwise.helstrom_attack(4, math.pi / 2, 50_000, np.random.default_rng(3))

@@ -46,6 +46,32 @@ class TestBounds:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--r2", "0"], "r must"),
+            (["--r2", "2,-1"], "r must"),
+            (["--epsilon", "nan", "--format", "json"], "epsilon"),
+            (["--epsilon", "0"], "epsilon"),
+            (["--epsilon", "1.5"], "epsilon"),
+        ],
+        ids=["r2-0", "r2-negative", "epsilon-nan", "epsilon-0", "epsilon-above-1"],
+    )
+    def test_bad_codebook_bound_input_runtime_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "bounds", "--theta", "0.3", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("flag", ["--theta", "--n", "--r2"])
+    @pytest.mark.parametrize("text", ["", ","])
+    def test_empty_list_usage_error(self, capsys, flag, text):
+        argv = ["bounds", "--theta", "0.3", flag, text]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
 
 class TestRun:
     def test_cointoss_honest_all_complete(self, capsys):
@@ -81,6 +107,27 @@ class TestRun:
             main(["run", "--protocol", "cointoss"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--protocol", "bitwise", "--theta", ""],
+            ["run", "--protocol", "bitwise", "--n", ""],
+            ["run", "--protocol", "bitwise", "--n", "2,4"],
+            ["run", "--protocol", "bitwise", "--theta", "0.1,0.3"],
+            ["sweep", "--metric", "bob_entropy", "--variable", "theta", "--values", "0.3",
+             "--n", "2,4"],
+            ["sweep", "--metric", "bob_entropy", "--variable", "n", "--values", "2",
+             "--theta", ""],
+        ],
+        ids=["run-empty-theta", "run-empty-n", "run-n-list", "run-theta-list",
+             "sweep-n-list", "sweep-empty-theta"],
+    )
+    def test_scalar_flag_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
     def test_unknown_strategy_runtime_error(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -113,11 +160,20 @@ class TestRun:
              "r must"),
             (["run", "--protocol", "codebook", "--dim", "257", "--construction", "simplex",
               "--alice", "multistring:r=2"], "exceeds the Jacobi guard 256"),
+            (["sweep", "--metric", "codebook_bound", "--variable", "r", "--values", "0,2",
+              "--epsilon", "0.25"], "r must"),
+            (["sweep", "--metric", "codebook_bound", "--variable", "epsilon",
+              "--values", "0.5,nan", "--r", "2"], "epsilon"),
+            (["sweep", "--metric", "advantage", "--variable", "M", "--values", "2.5",
+              "--pairs", "4"], "M takes integers"),
+            (["sweep", "--metric", "cheat_bound", "--variable", "theta", "--values", "abc"],
+             "--values"),
         ],
         ids=["trials-0", "unknown-param", "non-number", "fraction-2",
              "advantage-no-pairs", "detection-no-pairs", "reveal-bit-2",
              "reveal-bit-fraction", "r-above-count", "r-negative", "r-fraction",
-             "dim-above-jacobi-guard"],
+             "dim-above-jacobi-guard", "sweep-codebook-r-0", "sweep-codebook-epsilon-nan",
+             "sweep-M-fraction", "sweep-values-not-numbers"],
     )
     def test_bad_input_runtime_error(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv, "--seed", "1")
@@ -188,6 +244,16 @@ class TestSweep:
         )
         assert code == 1
         assert "values" in err
+
+    @pytest.mark.parametrize("variable", ["M", "N", "n", "r"])
+    def test_integer_variables(self, variable):
+        with pytest.raises(InvalidSpec, match="integers"):
+            SweepSpec(variable=variable, values=[2, 2.5], metric="advantage", trials=1,
+                      seed=1)
+        spec = SweepSpec(variable=variable, values=[2.0, 4.0], metric="advantage",
+                         trials=1, seed=1)
+        assert spec.values == [2, 4]
+        assert all(type(v) is int for v in spec.values)
 
     def test_spec_invariants(self):
         with pytest.raises(InvalidSpec):

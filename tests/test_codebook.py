@@ -249,6 +249,27 @@ class TestMultistringCheat:
         totals = np.einsum("id,de,ie->i", z.conj(), Q, z).real
         assert totals.max() <= top + 1e-9
 
+    def test_cheat_state_is_top_eigenvector(self, packed16):
+        targets = [1, 5, 8]
+        report = optimal_multistring_cheat(packed16, targets)
+        Q = cheat_operator(packed16, targets).entries
+        c = report.cheat_state.amplitudes
+        assert np.abs(Q @ c - report.total * c).max() < 1e-9
+
+
+class TestCheatBound:
+    def test_closed_form(self):
+        assert codebook.cheat_bound(3, 0.25) == 1.5
+        assert codebook.cheat_bound(1, 1.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "r,epsilon",
+        [(0, 0.25), (-1, 0.25), (2, 0.0), (2, -0.1), (2, 1.5), (2, math.nan), (2, math.inf)],
+    )
+    def test_domain(self, r, epsilon):
+        with pytest.raises(DomainError):
+            codebook.cheat_bound(r, epsilon)
+
 
 class TestGramMatrix:
     def test_single_target(self, packed16):

@@ -16,21 +16,25 @@ from mistrustq.qmath import (
     HermitianOperator,
     StateVector,
     binary_entropy,
-    haar_state,
     hermitian_eigen,
     hermitian_eigenvalues,
-    inner,
     ket,
-    projector,
-    tensor,
     von_neumann_entropy,
 )
 
 
 def psi(bit, theta):
-    if bit == 0:
-        return ket([1, 0])
-    return ket([math.sin(theta), math.cos(theta)])
+    return np.array([1.0, 0.0] if bit == 0 else [math.sin(theta), math.cos(theta)])
+
+
+def haar(dim, rng):
+    """Haar-random unit vector."""
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return z / np.linalg.norm(z)
+
+
+def proj(v):
+    return np.outer(v, v.conj())
 
 
 class TestKet:
@@ -51,80 +55,25 @@ class TestKet:
             StateVector([1, 1])
 
 
-class TestInner:
-    def test_self_overlap(self):
-        assert inner(ket([1, 0]), ket([1, 0])) == pytest.approx(1)
-
-    def test_orthogonal(self):
-        assert inner(ket([1, 0]), ket([0, 1])) == pytest.approx(0)
-
-    def test_encoding_overlap(self):
-        theta = 0.3
-        assert inner(psi(0, theta), psi(1, theta)) == pytest.approx(math.sin(theta))
-
-    def test_conjugate_linear_first_argument(self):
-        a = ket([1, 1j])
-        b = ket([1, 1])
-        assert inner(a, b) == pytest.approx(np.conj(inner(b, a)))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            inner(ket([1, 0]), ket([1, 0, 0]))
-
-
-class TestTensor:
-    def test_basis_bookkeeping(self):
-        np.testing.assert_allclose(
-            tensor(ket([1, 0]), ket([0, 1])).amplitudes, [0, 1, 0, 0]
-        )
-        np.testing.assert_allclose(
-            tensor(ket([0, 1]), ket([1, 0])).amplitudes, [0, 0, 1, 0]
-        )
-
-    def test_unit_norm(self):
-        rng = np.random.default_rng(3)
-        a, b = haar_state(3, rng), haar_state(4, rng)
-        t = tensor(a, b)
-        assert t.dim == 12
-        assert np.linalg.norm(t.amplitudes) == pytest.approx(1, abs=1e-12)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_associativity(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (haar_state(rng.integers(2, 5), rng) for _ in range(3))
-        lhs = tensor(tensor(a, b), c).amplitudes
-        rhs = tensor(a, tensor(b, c)).amplitudes
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-
-class TestProjector:
-    def test_basis_projector(self):
-        np.testing.assert_allclose(projector(ket([1, 0])).entries, np.diag([1, 0]))
-
-    def test_idempotent_unit_trace(self):
-        v = haar_state(5, np.random.default_rng(0))
-        P = projector(v).entries
-        assert np.abs(P @ P - P).max() < 1e-12
-        assert np.trace(P) == pytest.approx(1, abs=1e-12)
-
-
 class TestHermitianEigen:
     def test_diagonal(self):
-        eig = hermitian_eigen(HermitianOperator(np.diag([3.0, 1.0])))
-        np.testing.assert_allclose(eig.eigenvalues, [3, 1])
+        eig = hermitian_eigen(HermitianOperator(np.diag([1.0, 3.0])))
+        w, V = eig
+        assert w is eig.eigenvalues and V is eig.eigenvectors
+        np.testing.assert_allclose(w, [3, 1])
+        # eigenvectors are columns: column 0 belongs to eigenvalue 3
+        np.testing.assert_allclose(np.abs(V), [[0, 1], [1, 0]], atol=1e-15)
 
     def test_projector_spectrum(self):
-        v = haar_state(4, np.random.default_rng(1))
-        eig = hermitian_eigen(projector(v))
-        np.testing.assert_allclose(eig.eigenvalues, [1, 0, 0, 0], atol=1e-12)
+        v = haar(4, np.random.default_rng(1))
+        w, V = hermitian_eigen(HermitianOperator(proj(v)))
+        np.testing.assert_allclose(w, [1, 0, 0, 0], atol=1e-12)
+        assert abs(np.vdot(V[:, 0], v)) == pytest.approx(1, abs=1e-12)
 
     def test_two_projector_sum_analytic(self):
         # Sum of two rank-1 projectors with overlap s has eigenvalues 1 +/- s.
         theta = 0.3
-        Q = HermitianOperator(
-            projector(psi(0, theta)).entries + projector(psi(1, theta)).entries
-        )
+        Q = HermitianOperator(proj(psi(0, theta)) + proj(psi(1, theta)))
         eig = hermitian_eigen(Q)
         s = math.sin(theta)
         np.testing.assert_allclose(eig.eigenvalues, [1 + s, 1 - s], atol=1e-9)
@@ -137,11 +86,10 @@ class TestHermitianEigen:
         n = int(rng.integers(2, 65))
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H = HermitianOperator((M + M.conj().T) / 2)
-        eig = hermitian_eigen(H)
-        assert np.abs(eig.reconstruct() - H.entries).max() < 1e-9
-        U = np.column_stack([v.amplitudes for v in eig.eigenvectors])
-        assert np.abs(U.conj().T @ U - np.eye(n)).max() < 1e-9
-        assert (np.diff(eig.eigenvalues) <= 1e-12).all()
+        w, V = hermitian_eigen(H)
+        assert np.abs((V * w) @ V.conj().T - H.entries).max() < 1e-9
+        assert np.abs(V.conj().T @ V - np.eye(n)).max() < 1e-9
+        assert (np.diff(w) <= 1e-12).all()
 
     def test_size_guard(self):
         n = qmath.MAX_JACOBI_DIM + 1
@@ -215,8 +163,8 @@ class TestHermitianEigenvalues:
         np.testing.assert_allclose(self.check(np.zeros((6, 6))), 0, atol=1e-300)
 
     def test_rank_one_projector(self):
-        v = haar_state(7, np.random.default_rng(4))
-        w = self.check(projector(v).entries)
+        v = haar(7, np.random.default_rng(4))
+        w = self.check(proj(v))
         np.testing.assert_allclose(w, [1, 0, 0, 0, 0, 0, 0], atol=1e-14)
 
     def test_binomial_multiplicities(self):
@@ -259,8 +207,8 @@ class TestEntropy:
         )
 
     def test_pure_state_zero(self):
-        v = haar_state(3, np.random.default_rng(5))
-        assert von_neumann_entropy(DensityMatrix(projector(v).entries)) == pytest.approx(
+        v = haar(3, np.random.default_rng(5))
+        assert von_neumann_entropy(DensityMatrix(proj(v))) == pytest.approx(
             0, abs=1e-9
         )
 
@@ -270,9 +218,7 @@ class TestEntropy:
     def test_two_state_mixture_analytic(self):
         # eigenvalues of the equal two-state mixture are (1 +/- sin theta)/2
         theta = 0.3
-        rho = DensityMatrix(
-            0.5 * (projector(psi(0, theta)).entries + projector(psi(1, theta)).entries)
-        )
+        rho = DensityMatrix(0.5 * (proj(psi(0, theta)) + proj(psi(1, theta))))
         expected = binary_entropy((1 + math.sin(theta)) / 2)
         assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-9)
 
@@ -285,12 +231,21 @@ class TestEntropy:
         rho = np.zeros((d, d), dtype=complex)
         weights = rng.dirichlet(np.ones(d))
         for w in weights:
-            rho += w * projector(haar_state(d, rng)).entries
+            rho += w * proj(haar(d, rng))
         S = von_neumann_entropy(DensityMatrix(rho))
         assert -1e-9 <= S <= math.log2(d) + 1e-9
 
 
 class TestDensityMatrix:
+    def test_is_a_read_only_hermitian_operator(self):
+        rho = DensityMatrix(np.eye(2) / 2)
+        assert isinstance(rho, HermitianOperator)
+        assert rho.dim == 2 and not rho.entries.flags.writeable
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimMismatch):
+            DensityMatrix(np.ones((2, 3)) / 2)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises((DomainError, DimMismatch)):
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
