@@ -198,6 +198,14 @@ class SweepSpec:
             object.__setattr__(self, "values", [int(v) for v in self.values])
 
 
+# The parameters each sweep metric reads; a sweep must vary one of them.
+METRIC_PARAMS = {
+    "cheat_bound": ("theta",),
+    "bob_entropy": ("n", "theta"),
+    "codebook_bound": ("r", "epsilon"),
+    "advantage": ("M", "N"),
+    "detection": ("M", "N", "tamper_fraction"),
+}
 # Sweep parameters whose flag is not --<name>.
 _SWEEP_FLAGS = {"M": "--batches", "N": "--pairs", "tamper_fraction": "--tamper-fraction"}
 
@@ -239,6 +247,14 @@ def _sweep_point(spec: SweepSpec, value) -> tuple[float, float]:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
+    """One row per value; InvalidSpec for a variable the metric does not
+    read, whose rows would all be the same."""
+    reads = METRIC_PARAMS.get(spec.metric)
+    if reads is not None and spec.variable not in reads:
+        raise InvalidSpec(
+            f"metric {spec.metric} does not read {spec.variable!r}; "
+            f"it reads {', '.join(reads)}"
+        )
     rows = []
     for value in spec.values:
         mean, stderr = _sweep_point(spec, value)
@@ -324,9 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_run)
 
     s = sub.add_parser("sweep", help="sweep one parameter and aggregate a metric")
-    s.add_argument("--metric", required=True,
-                   choices=("cheat_bound", "bob_entropy", "codebook_bound",
-                            "advantage", "detection"))
+    s.add_argument("--metric", required=True, choices=tuple(METRIC_PARAMS))
     s.add_argument("--variable", required=True)
     s.add_argument("--values", required=True, help="comma list")
     s.add_argument("--trials", type=int, default=1)

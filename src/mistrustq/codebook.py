@@ -3,7 +3,8 @@
 A codebook is a set of unit vectors whose pairwise overlaps are certified
 below epsilon.  Committing a string sends the vector it indexes; cheating
 over a target set of r strings is governed by the top eigenvalue of
-Q = P_1 + ... + P_r, which never exceeds 1 + (r-1) * epsilon.
+Q = P_1 + ... + P_r, which never exceeds 1 + (r-1) * epsilon, and which the
+r x r Gram matrix of the targets shares.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ MAX_REPORT_DIM = 256
 # chunk, so neither a nearly empty nor a nearly full acceptance region
 # costs a pass over a whole 4096-candidate block per accepted vector.
 FILL_CHUNK = 64
+# The top eigenspace of a cheat is every eigenvalue within this relative
+# distance of lambda_max.  Solvers split an exactly degenerate eigenvalue by
+# rounding only, far below this: Jacobi splits the simplex top eigenvalue by
+# at most 9e-16 relative for every r >= 3 and dim up to 32.
+TOP_EIGENSPACE_RTOL = 1e-9
+# A target codeword whose projection onto the top eigenspace has at most this
+# norm is orthogonal to it up to rounding, so it cannot fix the cheat state.
+NEGLIGIBLE_PROJECTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -271,23 +280,44 @@ def cheat_bound(r: int, epsilon: float) -> float:
     return 1.0 + (r - 1) * epsilon
 
 
+def _top_state(projections: np.ndarray) -> StateVector:
+    """The canonical cheat state: the normalized first column of projections
+    (column k is P v_k, target codeword k projected onto the top eigenspace)
+    whose norm is not negligible.  <v_k|P v_k> = ||P v_k||^2 is real and
+    positive, which fixes the global phase."""
+    k = int(np.argmax(np.linalg.norm(projections, axis=0) > NEGLIGIBLE_PROJECTION))
+    # + 0.0 turns -0.0 into 0.0, so transcripts never print a signed zero.
+    return qmath.ket(projections[:, k] + 0.0)
+
+
 def optimal_multistring_cheat(codebook: Codebook, targets) -> CheatReport:
     """Best single committed state for keeping r revelations alive.
 
-    The optimum is the top eigenvector of Q; its total success probability
-    is lambda_max(Q) <= 1 + (r-1) * epsilon.
+    With the target codewords as the rows of B, the total success
+    probability is lambda_max of Q = B^T conj(B) (the projector sum), at most
+    1 + (r-1) * epsilon.  Q shares its nonzero spectrum with the r x r Gram
+    matrix G = conj(B) B^T, so the smaller one is solved: G when r < dim, Q
+    otherwise, and TooLarge comes only when that matrix exceeds the Jacobi
+    guard.  The cheat state is the normalized projection, onto the top
+    eigenspace (eigenvalues within TOP_EIGENSPACE_RTOL of lambda_max), of the
+    first target codeword in caller order whose projection is not
+    negligible: B^T P_G e_k on the Gram route, P_Q v_k on the Q route, which
+    are the same vector.  It depends on the eigenspace alone, not on the
+    basis a solver picks in a degenerate one, and <v_k|cheat> is positive.
     """
     targets = _check_targets(codebook, targets)
-    Q = cheat_operator(codebook, targets)
-    w, V = qmath.hermitian_eigen(Q)
-    cheat = qmath.ket(V[:, 0])
-    probs = tuple(
-        float(abs(np.vdot(codebook.state(t), cheat.amplitudes)) ** 2) for t in targets
-    )
+    B = codebook.vectors[list(targets)]
+    gram = len(targets) < codebook.dim
+    H = gram_matrix(codebook, targets) if gram else cheat_operator(codebook, targets)
+    w, V = qmath.hermitian_eigen(H)
+    U = V[:, w >= w[0] * (1.0 - TOP_EIGENSPACE_RTOL)]
+    P = U @ U.conj().T
+    cheat = _top_state(B.T @ P if gram else P @ B.T)
+    probs = np.abs(B.conj() @ cheat.amplitudes) ** 2
     return CheatReport(
         target_indices=targets,
         cheat_state=cheat,
-        success_probs=probs,
+        success_probs=tuple(float(p) for p in probs),
         total=float(w[0]),
         bound=cheat_bound(len(targets), codebook.epsilon),
     )

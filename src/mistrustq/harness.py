@@ -312,8 +312,11 @@ class _HonestCodebookAlice(SessionStrategy):
 
 @register_strategy("CodebookCommit", "alice", "multistring")
 class _MultistringAlice(SessionStrategy):
-    """Commits the top eigenvector of Q for r random target strings, then
-    reveals a random member of the target set."""
+    """Commits the optimal cheat state for r random target strings (the
+    canonical one of codebook.optimal_multistring_cheat: the first target
+    codeword projected onto the top eigenspace of Q, solved on the r x r
+    Gram matrix when r < dim), then reveals a random member of the target
+    set."""
 
     def __init__(self, r: int = 2):
         super().__init__()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mistrustq import cli
+from mistrustq import cli, qmath
 from mistrustq.cli import SweepSpec, main, run_sweep
 from mistrustq.errors import InvalidSpec
 from mistrustq.harness import StrategyDescriptor, run_session, serialize
@@ -159,7 +159,7 @@ class TestRun:
             (["run", "--protocol", "codebook", "--dim", "4", "--alice", "multistring:r=2.5"],
              "r must"),
             (["run", "--protocol", "codebook", "--dim", "257", "--construction", "simplex",
-              "--alice", "multistring:r=2"], "exceeds the Jacobi guard 256"),
+              "--alice", "multistring:r=258"], "exceeds the Jacobi guard 256"),
             (["sweep", "--metric", "codebook_bound", "--variable", "r", "--values", "0,2",
               "--epsilon", "0.25"], "r must"),
             (["sweep", "--metric", "codebook_bound", "--variable", "epsilon",
@@ -168,17 +168,42 @@ class TestRun:
               "--pairs", "4"], "M takes integers"),
             (["sweep", "--metric", "cheat_bound", "--variable", "theta", "--values", "abc"],
              "--values"),
+            (["sweep", "--metric", "cheat_bound", "--variable", "foo", "--values", "1,2",
+              "--theta", "0.3"], "does not read 'foo'"),
         ],
         ids=["trials-0", "unknown-param", "non-number", "fraction-2",
              "advantage-no-pairs", "detection-no-pairs", "reveal-bit-2",
              "reveal-bit-fraction", "r-above-count", "r-negative", "r-fraction",
              "dim-above-jacobi-guard", "sweep-codebook-r-0", "sweep-codebook-epsilon-nan",
-             "sweep-M-fraction", "sweep-values-not-numbers"],
+             "sweep-M-fraction", "sweep-values-not-numbers", "sweep-unused-variable"],
     )
     def test_bad_input_runtime_error(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv, "--seed", "1")
         assert code == 1
         assert err.startswith("error: ") and message in err
+
+    def test_multistring_solves_gram_above_jacobi_guard(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "run", "--protocol", "codebook", "--dim", "257", "--construction", "simplex",
+            "--alice", "multistring:r=2", "--seed", "1",
+        )
+        assert code == 0
+        assert out.startswith("key,value\nverdict_")
+
+    def test_multistring_stdout_independent_of_solver(self, capsys, monkeypatch):
+        argv = ["run", "--protocol", "codebook", "--dim", "3", "--construction", "simplex",
+                "--alice", "multistring:r=3", "--seed", "55", "--trials", "200"]
+        _, jacobi, _ = run_cli(capsys, *argv)
+
+        def eigh(H):
+            w, V = np.linalg.eigh(H.entries)
+            return qmath.Eigen(w[::-1], V[:, ::-1])
+
+        monkeypatch.setattr(qmath, "hermitian_eigen", eigh)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == jacobi
 
     def test_simplex_header_records_what_the_session_reads(self, capsys, tmp_path):
         d = tmp_path / "tr"

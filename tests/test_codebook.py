@@ -40,6 +40,39 @@ def overlaps(cb):
     return G
 
 
+def haar_codebook(d, count, seed):
+    """count Haar-random vectors in C^d, certified just above their largest
+    overlap."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    G = np.abs(z @ z.conj().T)
+    np.fill_diagonal(G, 0.0)
+    return Codebook(dim=d, vectors=z, epsilon=min(1.0, G.max() + 1e-6))
+
+
+def eigh_cheat_state(cb, targets):
+    """Oracle: the normalized projection of the first target codeword whose
+    projection is not negligible onto the top eigenspace of Q, from numpy's
+    eigh; returns the state and that codeword's position in targets."""
+    B = cb.vectors[targets]
+    w, V = np.linalg.eigh(B.T @ B.conj())
+    U = V[:, w >= w[-1] * (1 - 1e-9)]
+    for k in range(len(targets)):
+        c = U @ (U.conj().T @ B[k])
+        if np.linalg.norm(c) > 1e-6:
+            return c / np.linalg.norm(c), k
+    raise AssertionError("every target is orthogonal to the top eigenspace")
+
+
+# (dim, r, construction): random books with r below, equal to and above dim,
+# and simplex books whose top eigenspace is (r - 1)-fold degenerate (r <= d) or
+# d-fold (r = d + 1).
+ORACLE_CASES = [
+    (d, r, "random") for d in (2, 3, 5, 8, 16) for r in sorted({1, d - 1, d, d + 1, 2 * d})
+] + [(d, r, "simplex") for d in (2, 3, 5, 8, 16) for r in sorted({3, d, d + 1}) if r >= 3]
+
+
 class TestRandomCodebook:
     def test_vacuous_bound(self):
         cb = random_codebook(2, 2, 1.0, np.random.default_rng(0))
@@ -255,6 +288,31 @@ class TestMultistringCheat:
         Q = cheat_operator(packed16, targets).entries
         c = report.cheat_state.amplitudes
         assert np.abs(Q @ c - report.total * c).max() < 1e-9
+
+    @pytest.mark.parametrize("d,r,construction", ORACLE_CASES)
+    def test_cheat_state_matches_eigh_projection(self, d, r, construction):
+        if construction == "simplex":
+            cb = simplex_codebook(d)
+        else:
+            cb = haar_codebook(d, 2 * d + 1, seed=100 * d + r)
+        targets = [int(t) for t in np.random.default_rng(d + r).permutation(cb.count)[:r]]
+        report = optimal_multistring_cheat(cb, targets)
+        c = report.cheat_state.amplitudes
+        want, k = eigh_cheat_state(cb, targets)
+        assert np.abs(c - want).max() <= 1e-9
+        overlap = np.vdot(cb.vectors[targets[k]], c)
+        assert overlap.real > 0 and abs(overlap.imag) <= 1e-12
+        Q = cheat_operator(cb, targets).entries
+        assert np.linalg.norm(Q @ c - report.total * c) <= 1e-9
+
+    def test_skips_codeword_orthogonal_to_top_eigenspace(self):
+        v1 = np.array([0, 1, 0, 0])
+        v2 = np.array([0, 0.5, math.sqrt(0.75), 0])
+        cb = Codebook(dim=4, vectors=np.array([[1, 0, 0, 0], v1, v2]), epsilon=0.6)
+        report = optimal_multistring_cheat(cb, [0, 1, 2])
+        assert report.total == pytest.approx(1.5, abs=1e-12)
+        want = (v1 + v2) / np.linalg.norm(v1 + v2)
+        assert np.abs(report.cheat_state.amplitudes - want).max() <= 1e-12
 
 
 class TestCheatBound:

@@ -4,8 +4,9 @@ Each digest covers stdout plus, for runs with a transcripts directory, every
 transcript's file name and bytes in name order.  A refactor that keeps these
 digests keeps every number and every transcript byte the commands produce.
 
-Simplex ``multistring`` runs with r >= 3 are left out: their top eigenspace
-is degenerate, so the committed state depends on last-bit rounding.
+Simplex ``multistring`` runs with r >= 3 have a degenerate top eigenspace;
+the committed state is the canonical projection onto that eigenspace, so
+their digest is pinned like any other.
 """
 
 import hashlib
@@ -110,8 +111,14 @@ GOLDEN = [
     ),
     pytest.param(
         CODEBOOK + ["--alice", "multistring:r=2", "--seed", "54"],
-        "81e25070c045bd1e5a7ca789a8c7b57c4f89a3ae5ef85c02199298be144c13b5",
+        "e709a430cacda6debc055a93a9e458ace3ca8d6ecd3bbb0990e87455df99c56a",
         id="run-codebook-multistring-transcripts",
+    ),
+    pytest.param(
+        CODEBOOK + ["--dim", "3", "--construction", "simplex",
+                    "--alice", "multistring:r=3", "--seed", "55"],
+        "78ca6090987290df732506b4f047ddc20af7413fec0434b1ded5c2b986a786ca",
+        id="run-codebook-simplex-multistring-transcripts",
     ),
 ]
 
