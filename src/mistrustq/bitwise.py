@@ -40,14 +40,6 @@ class SecurityParams:
         if not (0 <= self.m < self.n):
             raise DomainError("m must satisfy 0 <= m < n")
 
-    @property
-    def delta(self) -> float:
-        return math.sin(self.theta) ** 2
-
-    @property
-    def r(self) -> int:
-        return self.n - self.m
-
 
 def _check_theta(theta: float) -> None:
     if not (0.0 < theta <= math.pi / 2):
@@ -66,13 +58,6 @@ def _encode(bits: str, theta: float) -> np.ndarray:
 def _projectors(theta: float) -> list[np.ndarray]:
     """[|psi_0><psi_0|, |psi_1><psi_1|] as (2, 2) arrays."""
     return [np.outer(v, v.conj()) for v in _encode("01", theta)]
-
-
-def encode_bit(bit: int, theta: float) -> StateVector:
-    """psi_0 = |0>; psi_1 = sin(theta)|0> + cos(theta)|1>."""
-    if bit not in (0, 1):
-        raise DomainError(f"bit must be 0 or 1, got {bit}")
-    return StateVector(_encode(str(int(bit)), theta)[0])
 
 
 def encode_string(bits: str, params: SecurityParams) -> np.ndarray:
@@ -124,23 +109,19 @@ def optimal_bit_cheat(theta: float) -> tuple[StateVector, float, float]:
     return cheat, p0, p1
 
 
-def single_bit_mixture(theta: float) -> DensityMatrix:
-    """Equal mixture of the two encoding states (one qubit of the ensemble)."""
-    P0, P1 = _projectors(theta)
-    return DensityMatrix(0.5 * (P0 + P1))
-
-
 def bob_ensemble(n: int, theta: float) -> DensityMatrix:
     """Receiver's view of a uniformly random committed string.
 
-    Equals the n-fold tensor power of the single-qubit mixture, which is the
-    same operator as the equal mixture over all 2**n product encodings.
+    Equals the n-fold tensor power of the single-qubit mixture (P0 + P1) / 2,
+    which is the same operator as the equal mixture over all 2**n product
+    encodings.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if n > MAX_EXACT_N:
         raise TooLarge(f"n {n} exceeds the exact-construction guard {MAX_EXACT_N}")
-    rho1 = single_bit_mixture(theta).entries
+    P0, P1 = _projectors(theta)
+    rho1 = 0.5 * (P0 + P1)
     out = rho1
     for _ in range(n - 1):
         out = np.kron(out, rho1)

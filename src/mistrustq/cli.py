@@ -182,8 +182,6 @@ class SweepSpec:
     trials: int
     seed: int
     fixed: dict = field(default_factory=dict)
-    out: str | None = None
-    format: str = "csv"
 
     def __post_init__(self):
         if not self.values:
@@ -294,10 +292,8 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         seed=args.seed,
         fixed=fixed,
-        out=args.out,
-        format=args.format,
     )
-    _write_rows(run_sweep(spec), spec.format, spec.out)
+    _write_rows(run_sweep(spec), args.format, args.out)
     return 0
 
 

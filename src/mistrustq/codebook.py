@@ -26,10 +26,16 @@ from . import qmath
 from .qmath import HermitianOperator, StateVector
 
 MAX_REPORT_DIM = 256
-# Greedy-fill screening width: acceptance re-screens only the rest of one
-# chunk, so neither a nearly empty nor a nearly full acceptance region
-# costs a pass over a whole 4096-candidate block per accepted vector.
+# Greedy fill draws at most MAX_FILL_ATTEMPTS Haar candidates, FILL_BLOCK at
+# a time, and screens them FILL_CHUNK at a time: acceptance re-screens only
+# the rest of one chunk, so neither a nearly empty nor a nearly full
+# acceptance region costs a pass over a whole block per accepted vector.
+MAX_FILL_ATTEMPTS = 200_000
+FILL_BLOCK = 4096
 FILL_CHUNK = 64
+# Repulsion polish: gradient steps of this size, at most this many.
+POLISH_STEP = 0.5
+POLISH_MAX_ITERS = 5000
 # The top eigenspace of a cheat is every eigenvalue within this relative
 # distance of lambda_max.  Solvers split an exactly degenerate eigenvalue by
 # rounding only, far below this: Jacobi splits the simplex top eigenvalue by
@@ -61,14 +67,9 @@ class Codebook:
         norms = np.linalg.norm(V, axis=1)
         if np.abs(norms - 1.0).max() > qmath.NORM_TOL:
             raise DomainError("codebook vectors must be unit norm")
-        V = V.copy()
-        V.setflags(write=False)
-        object.__setattr__(self, "vectors", V)
-        self.certify()
-
-    def certify(self) -> None:
-        """Re-check every pairwise overlap against epsilon."""
-        G = self.vectors @ self.vectors.conj().T
+        object.__setattr__(self, "vectors", qmath._read_only(V))
+        # Certify: every pairwise overlap must lie below epsilon.
+        G = V @ V.conj().T
         off = np.abs(G - np.diag(np.diag(G)))
         worst = off.max()
         if worst >= self.epsilon:
@@ -111,12 +112,7 @@ class CheatReport:
 
 
 def _greedy_fill(
-    d: int,
-    count: int,
-    epsilon: float,
-    rng: np.random.Generator,
-    max_attempts: int,
-    block: int = 4096,
+    d: int, count: int, epsilon: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Greedy rejection sampling of Haar candidates; returns the accepted rows.
 
@@ -129,8 +125,8 @@ def _greedy_fill(
     """
     V = np.empty((count, d), dtype=complex)
     k = used = 0
-    while k < count and used < max_attempts:
-        b = min(block, max_attempts - used)
+    while k < count and used < MAX_FILL_ATTEMPTS:
+        b = min(FILL_BLOCK, MAX_FILL_ATTEMPTS - used)
         z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         used += b
@@ -148,9 +144,7 @@ def _greedy_fill(
     return V[:k]
 
 
-def _repulsion_polish(
-    V: np.ndarray, epsilon: float, max_iters: int = 5000, lr: float = 0.5
-) -> np.ndarray | None:
+def _repulsion_polish(V: np.ndarray, epsilon: float) -> np.ndarray | None:
     """Push vectors apart until all overlaps drop below epsilon.
 
     Gradient descent on a hinge of the squared overlaps above a target a
@@ -158,36 +152,34 @@ def _repulsion_polish(
     (the packing is then presumed infeasible at this epsilon).
     """
     target = 0.96 * epsilon
-    for _ in range(max_iters):
+    for _ in range(POLISH_MAX_ITERS):
         G = V @ V.conj().T
         np.fill_diagonal(G, 0.0)
         if np.abs(G).max() < 0.999 * epsilon:
             return V
         W = np.maximum(np.abs(G) ** 2 - target**2, 0.0)
-        V = V - lr * ((W * G) @ V)
+        V = V - POLISH_STEP * ((W * G) @ V)
         V /= np.linalg.norm(V, axis=1, keepdims=True)
     return None
 
 
 def random_codebook(
-    d: int,
-    count: int,
-    epsilon: float,
-    rng: np.random.Generator,
-    max_attempts: int = 200_000,
+    d: int, count: int, epsilon: float, rng: np.random.Generator
 ) -> Codebook:
     """Seeded random low-coherence packing.
 
     Haar-random candidates are accepted greedily while their overlap with
     every accepted vector stays below epsilon.  Near the packing limit the
     acceptance region shrinks too fast for rejection alone, so once a whole
-    block of candidates is rejected (or max_attempts run out) any shortfall
-    is filled with fresh Haar vectors and the whole set is polished by
-    repulsion descent, then re-certified.  Deterministic for a fixed rng
+    block of candidates is rejected (or MAX_FILL_ATTEMPTS run out) any
+    shortfall is filled with fresh Haar vectors and the whole set is polished
+    by repulsion descent, then re-certified.  Deterministic for a fixed rng
     state.  An epsilon at or below the Welch bound
     sqrt((count - d) / (d (count - 1))) admits no packing at all, so it
     fails before any candidate is drawn.
     """
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
     if count < 2:
         raise DomainError("count must be >= 2")
     if not (0.0 < epsilon <= 1.0):
@@ -197,7 +189,7 @@ def random_codebook(
             f"epsilon {epsilon} is at or below the Welch bound for {count} vectors "
             f"in dim {d}"
         )
-    V = _greedy_fill(d, count, epsilon, rng, max_attempts)
+    V = _greedy_fill(d, count, epsilon, rng)
     if len(V) < count:
         short = count - len(V)
         fills = rng.standard_normal((short, d)) + 1j * rng.standard_normal((short, d))
@@ -263,11 +255,8 @@ def _check_targets(codebook: Codebook, targets) -> tuple[int, ...]:
 def cheat_operator(codebook: Codebook, targets) -> HermitianOperator:
     """Q = sum of projectors onto the target codewords."""
     targets = _check_targets(codebook, targets)
-    Q = np.zeros((codebook.dim, codebook.dim), dtype=complex)
-    for t in targets:
-        v = codebook.state(t)
-        Q += np.outer(v, v.conj())
-    return HermitianOperator(Q)
+    B = codebook.vectors[list(targets)]
+    return HermitianOperator(sum(np.outer(v, v.conj()) for v in B))
 
 
 def cheat_bound(r: int, epsilon: float) -> float:
@@ -308,8 +297,8 @@ def optimal_multistring_cheat(codebook: Codebook, targets) -> CheatReport:
     targets = _check_targets(codebook, targets)
     B = codebook.vectors[list(targets)]
     gram = len(targets) < codebook.dim
-    H = gram_matrix(codebook, targets) if gram else cheat_operator(codebook, targets)
-    w, V = qmath.hermitian_eigen(H)
+    H = B.conj() @ B.T if gram else sum(np.outer(v, v.conj()) for v in B)
+    w, V = qmath.hermitian_eigen(HermitianOperator(H))
     U = V[:, w >= w[0] * (1.0 - TOP_EIGENSPACE_RTOL)]
     P = U @ U.conj().T
     cheat = _top_state(B.T @ P if gram else P @ B.T)

@@ -2,9 +2,10 @@
 
 A session drives one protocol to a terminal verdict while recording every
 message.  Transcripts serialize to JSON lines and replay byte-identically
-for equal inputs.  Quantum states appear in the transcript for replay
-purposes but are never handed to the receiving strategy: a strategy only
-ever sees the classical face of each message addressed to its party.
+for equal inputs.  Every message goes through one send path, which appends
+it to the transcript and hands the peer strategy its classical view: the
+transcript keeps quantum states for replay, but a strategy never sees the
+amplitudes its peer sent, only "<quantum>" in their place.
 
 Quantum payloads ("states", "state") are read-only complex arrays in memory
 and nested [re, im] lists on disk; ``deserialize`` returns the lists.  Two
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bitwise, codebook, cointoss
+from . import bitwise, codebook, cointoss, qmath
 from .errors import DeserializeError, DomainError, ProtocolViolation, UnknownStrategy
 
 FORMAT_VERSION = 1
@@ -219,19 +220,22 @@ def _int_param(name: str, value, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
-def _quantum(amplitudes: np.ndarray) -> np.ndarray:
-    """A read-only complex copy, so the sent payload cannot change later."""
-    a = np.array(amplitudes, dtype=complex)
-    a.setflags(write=False)
-    return a
+def _send_path(t: Transcript, alice, bob):
+    """send(sender, kind, payload): append the message to t and hand the
+    peer its classical view."""
+    peer = {"alice": bob, "bob": alice}
+
+    def send(sender: str, kind: str, payload: dict) -> None:
+        msg = t.append(sender, kind, payload)
+        peer[sender].observe(msg, _classical_view(msg.payload))
+
+    return send
 
 
-def _send_verdict(t: Transcript, alice, failing_index) -> None:
+def _send_verdict(send, t: Transcript, failing_index) -> None:
     """Bob's verdict on an unveiling: accepted iff nothing failed."""
     accepted = failing_index is None
-    payload = {"accepted": accepted, "failing_index": failing_index}
-    msg = t.append("bob", "verdict", payload)
-    alice.observe(msg, msg.payload)
+    send("bob", "verdict", {"accepted": accepted, "failing_index": failing_index})
     t.verdict = "Accepted" if accepted else "Rejected"
 
 
@@ -276,25 +280,18 @@ class _CheatStateAlice(SessionStrategy):
         return str(bit) * self.n
 
 
-@register_strategy("BitwiseCommit", "bob", "honest")
-class _HonestBitwiseBob(SessionStrategy):
-    pass
-
-
 def _run_bitwise(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
+    send = _send_path(t, alice, bob)
     params = bitwise.SecurityParams(
         theta=params_dict["theta"], n=params_dict["n"], m=params_dict.get("m", 0)
     )
     states = alice.pick_states(params, rng)
-    msg = t.append("alice", "commit", {"n": params.n, "states": _quantum(states)})
-    bob.observe(msg, _classical_view(msg.payload))
-    msg = t.append("bob", "commit_ack", {})
-    alice.observe(msg, msg.payload)
+    send("alice", "commit", {"n": params.n, "states": qmath._read_only(states)})
+    send("bob", "commit_ack", {})
     claimed = alice.claim(rng)
-    msg = t.append("alice", "unveil", {"claimed": claimed})
-    bob.observe(msg, msg.payload)
+    send("alice", "unveil", {"claimed": claimed})
     failing = bitwise.verify_unveil(states, claimed, params.theta, rng)
-    _send_verdict(t, alice, failing)
+    _send_verdict(send, t, failing)
 
 
 # --- codebook commitment strategies ----------------------------------------
@@ -333,9 +330,9 @@ class _MultistringAlice(SessionStrategy):
         return int(self.targets[int(rng.integers(len(self.targets)))])
 
 
-@register_strategy("CodebookCommit", "bob", "honest")
-class _HonestCodebookBob(SessionStrategy):
-    pass
+# An honest commitment receiver only observes; the drivers acknowledge and verify.
+register_strategy("BitwiseCommit", "bob", "honest")(SessionStrategy)
+register_strategy("CodebookCommit", "bob", "honest")(SessionStrategy)
 
 
 def build_codebook(params_dict: dict, seed: int):
@@ -352,17 +349,15 @@ def build_codebook(params_dict: dict, seed: int):
 
 
 def _run_codebook(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
+    send = _send_path(t, alice, bob)
     cb = build_codebook(params_dict, t.seed)
     state = alice.pick_state(cb, rng)
-    msg = t.append("alice", "commit", {"state": _quantum(state)})
-    bob.observe(msg, _classical_view(msg.payload))
-    msg = t.append("bob", "commit_ack", {})
-    alice.observe(msg, msg.payload)
+    send("alice", "commit", {"state": qmath._read_only(state)})
+    send("bob", "commit_ack", {})
     claimed = alice.claim(rng)
-    msg = t.append("alice", "unveil", {"index": claimed})
-    bob.observe(msg, msg.payload)
+    send("alice", "unveil", {"index": claimed})
     accepted = codebook.verify_unveil(cb, state, claimed, rng)
-    _send_verdict(t, alice, None if accepted else claimed)
+    _send_verdict(send, t, None if accepted else claimed)
 
 
 # --- coin toss strategies ---------------------------------------------------
@@ -428,11 +423,11 @@ class _BestOfMTossBob(SessionStrategy):
 
 
 def _run_cointoss(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
+    send = _send_path(t, alice, bob)
     params = cointoss.CoinTossParams(M=params_dict["M"], N=params_dict["N"])
     batches = alice.prepare(params, rng)
-    payload = {"M": params.M, "N": params.N, "states": _quantum(batches)}
-    msg = t.append("alice", "prepare", payload)
-    bob.observe(msg, _classical_view(msg.payload))
+    states = qmath._read_only(batches)
+    send("alice", "prepare", {"M": params.M, "N": params.N, "states": states})
 
     if bob.cheating:
         outcomes = cointoss.measure_z(batches, rng)
@@ -442,10 +437,8 @@ def _run_cointoss(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
         measured = None
         kept = int(rng.integers(params.M))
     test = [i for i in range(params.M) if i != kept]
-    msg = t.append("bob", "choose", {"kept": kept, "test": test})
-    alice.observe(msg, msg.payload)
-    msg = t.append("alice", "open", {"batches": test})
-    bob.observe(msg, msg.payload)
+    send("bob", "choose", {"kept": kept, "test": test})
+    send("alice", "open", {"batches": test})
 
     failed = None
     if not bob.cheating:
@@ -453,8 +446,7 @@ def _run_cointoss(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
             if not cointoss.singlet_test(batches[i], rng):
                 failed = i
                 break
-    msg = t.append("bob", "test_result", {"passed": failed is None, "failed_batch": failed})
-    alice.observe(msg, msg.payload)
+    send("bob", "test_result", {"passed": failed is None, "failed_batch": failed})
     if failed is not None:
         t.verdict = "CheatDetected"
         return
@@ -462,10 +454,8 @@ def _run_cointoss(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
     if measured is None:
         measured = cointoss.generate_bits(batches[kept], rng)
     a_bits, b_bits = measured
-    msg = t.append("alice", "alice_bits", {"bits": a_bits})
-    bob.observe(msg, msg.payload)
-    msg = t.append("bob", "bob_bits", {"bits": b_bits})
-    alice.observe(msg, msg.payload)
+    send("alice", "alice_bits", {"bits": a_bits})
+    send("bob", "bob_bits", {"bits": b_bits})
     t.verdict = "Completed"
 
 

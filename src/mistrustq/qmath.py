@@ -48,8 +48,9 @@ MULTISECT_POINTS = 15
 MULTISECT_MAX_SWEEPS = 16
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
+def _read_only(a) -> np.ndarray:
+    """A read-only complex copy, so later writes to the source cannot reach it."""
+    a = np.array(a, dtype=complex)
     a.setflags(write=False)
     return a
 
@@ -61,7 +62,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = _read_only(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
+        a = _read_only(np.reshape(self.amplitudes, -1))
         object.__setattr__(self, "amplitudes", a)
         if self.dim < 1:
             raise DimMismatch("state vector must have dimension >= 1")

@@ -24,9 +24,8 @@ def test_01_bitwise_cheat_ceiling():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     for theta in THETA_GRID:
-        psi0 = bitwise.encode_bit(0, theta)
-        psi1 = bitwise.encode_bit(1, theta)
-        a0, a1 = psi0.amplitudes, psi1.amplitudes
+        params = bitwise.SecurityParams(theta=theta, n=2, m=0)
+        a0, a1 = bitwise.encode_string("01", params)
         Q = qmath.HermitianOperator(np.outer(a0, a0.conj()) + np.outer(a1, a1.conj()))
         top = qmath.hermitian_eigen(Q).eigenvalues[0]
         assert abs(top - (1 + math.sin(theta))) < 1e-9
@@ -34,10 +33,7 @@ def test_01_bitwise_cheat_ceiling():
         assert abs(p0 + p1 - (1 + math.sin(theta))) < 1e-9
         z = rng.standard_normal((10_000, 2)) + 1j * rng.standard_normal((10_000, 2))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        totals = (
-            np.abs(z @ psi0.amplitudes.conj()) ** 2
-            + np.abs(z @ psi1.amplitudes.conj()) ** 2
-        )
+        totals = np.abs(z @ a0.conj()) ** 2 + np.abs(z @ a1.conj()) ** 2
         assert totals.max() <= 1 + math.sin(theta) + 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -12,12 +12,12 @@ def h2(p):
     return qmath.binary_entropy(p)
 
 
-class TestParams:
-    def test_delta_and_r(self):
-        p = SecurityParams(theta=0.3, n=8, m=3)
-        assert p.delta == pytest.approx(math.sin(0.3) ** 2, abs=1e-12)
-        assert p.r == 5
+def encode(bit, theta):
+    """The encoding of one bit, as a 2-amplitude array."""
+    return bitwise.encode_string(str(bit), SecurityParams(theta=theta, n=1, m=0))[0]
 
+
+class TestParams:
     def test_rejects_bad_theta(self):
         with pytest.raises(DomainError):
             SecurityParams(theta=0.0, n=4, m=1)
@@ -29,17 +29,13 @@ class TestParams:
 
 class TestEncodeCommit:
     def test_zero_state(self):
-        np.testing.assert_allclose(bitwise.encode_bit(0, 1.0).amplitudes, [1, 0])
+        np.testing.assert_allclose(encode(0, 1.0), [1, 0])
 
     def test_states_coincide_at_right_angle(self):
-        np.testing.assert_allclose(
-            bitwise.encode_bit(1, math.pi / 2).amplitudes, [1, 0], atol=1e-12
-        )
+        np.testing.assert_allclose(encode(1, math.pi / 2), [1, 0], atol=1e-12)
 
     def test_one_state_definition(self):
-        np.testing.assert_allclose(
-            bitwise.encode_bit(1, 0.3).amplitudes, [math.sin(0.3), math.cos(0.3)]
-        )
+        np.testing.assert_allclose(encode(1, 0.3), [math.sin(0.3), math.cos(0.3)])
 
     def test_commit_all_zero(self):
         c = bitwise.encode_string("000", SecurityParams(theta=0.3, n=3, m=0))
@@ -117,8 +113,8 @@ class TestCheat:
 
     def test_bound_agrees_with_eigensolver(self):
         for theta in (0.1, 0.3, 1.0):
-            psi0 = bitwise.encode_bit(0, theta).amplitudes
-            psi1 = bitwise.encode_bit(1, theta).amplitudes
+            psi0 = encode(0, theta)
+            psi1 = encode(1, theta)
             Q = qmath.HermitianOperator(
                 np.outer(psi0, psi0.conj()) + np.outer(psi1, psi1.conj())
             )
@@ -129,8 +125,8 @@ class TestCheat:
         # The top eigenvector of P0 + P1 is (psi0 + psi1) / ||psi0 + psi1||,
         # up to a global phase.
         for theta in (0.05, 0.1, 0.3, 0.6, 1.0, math.pi / 2):
-            psi0 = bitwise.encode_bit(0, theta).amplitudes
-            psi1 = bitwise.encode_bit(1, theta).amplitudes
+            psi0 = encode(0, theta)
+            psi1 = encode(1, theta)
             closed = (psi0 + psi1) / np.linalg.norm(psi0 + psi1)
             cheat, _, _ = bitwise.optimal_bit_cheat(theta)
             assert abs(np.vdot(closed, cheat.amplitudes)) == pytest.approx(1, abs=1e-9)
@@ -141,8 +137,8 @@ class TestCheat:
 
     def test_haar_states_never_beat_bound(self):
         theta = 0.3
-        psi0 = bitwise.encode_bit(0, theta).amplitudes
-        psi1 = bitwise.encode_bit(1, theta).amplitudes
+        psi0 = encode(0, theta)
+        psi1 = encode(1, theta)
         rng = np.random.default_rng(2)
         z = rng.standard_normal((10_000, 2)) + 1j * rng.standard_normal((10_000, 2))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -239,8 +235,8 @@ class TestHelstrom:
     def test_measurement_matches_grid_oracle(self):
         # oracle: exhaustive optimization over projective measurement angles
         theta = 0.3
-        psi0 = bitwise.encode_bit(0, theta).amplitudes
-        psi1 = bitwise.encode_bit(1, theta).amplitudes
+        psi0 = encode(0, theta)
+        psi1 = encode(1, theta)
         best = 0.0
         for phi in np.linspace(0, math.pi, 20_001):
             v = np.array([math.cos(phi), math.sin(phi)])

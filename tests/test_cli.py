@@ -170,12 +170,19 @@ class TestRun:
              "--values"),
             (["sweep", "--metric", "cheat_bound", "--variable", "foo", "--values", "1,2",
               "--theta", "0.3"], "does not read 'foo'"),
+            (["run", "--protocol", "codebook", "--dim", "0"], "d must be >= 1"),
+            (["run", "--protocol", "codebook", "--dim", "-1"], "d must be >= 1"),
+            (["sweep", "--metric", "advantage", "--variable", "M", "--values", "1e30",
+              "--pairs", "2"], "exceeds the guard 1048576"),
+            (["run", "--protocol", "cointoss", "--batches", "2", "--pairs", "1048577"],
+             "exceeds the guard 1048576"),
         ],
         ids=["trials-0", "unknown-param", "non-number", "fraction-2",
              "advantage-no-pairs", "detection-no-pairs", "reveal-bit-2",
              "reveal-bit-fraction", "r-above-count", "r-negative", "r-fraction",
              "dim-above-jacobi-guard", "sweep-codebook-r-0", "sweep-codebook-epsilon-nan",
-             "sweep-M-fraction", "sweep-values-not-numbers", "sweep-unused-variable"],
+             "sweep-M-fraction", "sweep-values-not-numbers", "sweep-unused-variable",
+             "dim-0", "dim-negative", "sweep-M-above-pair-guard", "pairs-above-pair-guard"],
     )
     def test_bad_input_runtime_error(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv, "--seed", "1")

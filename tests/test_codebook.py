@@ -82,7 +82,7 @@ class TestRandomCodebook:
     def test_tight_packing_succeeds(self, packed16):
         assert packed16.count == 32
         assert welch(16, 32) <= overlaps(packed16).max() < 0.25
-        packed16.certify()
+        Codebook(packed16.dim, packed16.vectors, packed16.epsilon)  # re-certifies
 
     @pytest.mark.parametrize("epsilon", [0.1, welch(16, 32)])
     def test_welch_bound_fails_before_sampling(self, epsilon):
@@ -98,9 +98,11 @@ class TestRandomCodebook:
             Codebook(packed16.dim, packed16.vectors, epsilon=0.01)
 
     def test_infeasible_packing(self):
-        # 4 qubit states cannot be pairwise near-orthogonal
-        with pytest.raises(PackingFailure):
-            random_codebook(2, 4, 0.1, np.random.default_rng(0), max_attempts=20_000)
+        # 7 qubit states cannot be pairwise below overlap 0.7, though 0.7 is
+        # above the Welch bound, so sampling and the polish both run and fail.
+        assert welch(2, 7) < 0.7
+        with pytest.raises(PackingFailure, match="could not pack 7 vectors in dim 2"):
+            random_codebook(2, 7, 0.7, np.random.default_rng(0))
 
     def test_seed_determinism(self):
         a = random_codebook(8, 12, 0.5, np.random.default_rng(42))
@@ -156,8 +158,10 @@ class TestGreedyFill:
     @pytest.mark.parametrize("seed", range(16))
     def test_matches_per_candidate_loop(self, d, count, epsilon, seed):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = codebook._greedy_fill(d, count, epsilon, rng, 200_000)
-        expected = greedy_fill_reference(d, count, epsilon, ref_rng, 200_000)
+        got = codebook._greedy_fill(d, count, epsilon, rng)
+        expected = greedy_fill_reference(
+            d, count, epsilon, ref_rng, codebook.MAX_FILL_ATTEMPTS, codebook.FILL_BLOCK
+        )
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
         assert rng.random() == ref_rng.random()

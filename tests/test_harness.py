@@ -169,6 +169,7 @@ class TestStrategyIsolation:
         [
             ("BitwiseCommit", {"theta": 0.3, "n": 2}),
             ("CoinToss", {"M": 2, "N": 2}),
+            ("CodebookCommit", {"dim": 3, "construction": "simplex"}),
         ],
     )
     def test_each_party_sees_only_peer_messages(self, protocol, params):
@@ -177,10 +178,19 @@ class TestStrategyIsolation:
         assert all(sender == "bob" for sender, _, _ in alice.observed)
         assert all(sender == "alice" for sender, _, _ in bob.observed)
 
-    def test_quantum_payloads_are_opaque(self):
-        _, bob = self.run_with_probes("BitwiseCommit", {"theta": 0.3, "n": 2})
-        commit_views = [v for _, kind, v in bob.observed if kind == "commit"]
-        assert commit_views and commit_views[0]["states"] == "<quantum>"
+    @pytest.mark.parametrize(
+        "protocol,params,kind,key",
+        [
+            ("BitwiseCommit", {"theta": 0.3, "n": 2}, "commit", "states"),
+            ("CodebookCommit", {"dim": 3, "construction": "simplex"}, "commit", "state"),
+            ("CoinToss", {"M": 2, "N": 2}, "prepare", "states"),
+        ],
+        ids=["BitwiseCommit", "CodebookCommit", "CoinToss"],
+    )
+    def test_quantum_payloads_are_opaque(self, protocol, params, kind, key):
+        _, bob = self.run_with_probes(protocol, params)
+        views = [v for _, k, v in bob.observed if k == kind]
+        assert views and views[0][key] == "<quantum>"
 
 
 def _complex(re, im):
