@@ -115,7 +115,7 @@ def cmd_bounds(args) -> int:
 
 def _session_params(args) -> dict:
     if args.protocol == "bitwise":
-        return {"theta": args.theta, "n": args.n, "m": args.m}
+        return {"theta": args.theta, "n": args.n}
     if args.protocol == "codebook" and args.construction == "simplex":
         return {"dim": args.dim, "construction": "simplex"}
     if args.protocol == "codebook":
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--protocol", choices=tuple(PROTOCOL_NAMES), required=True)
     r.add_argument("--theta", type=float, default=0.3)
     r.add_argument("--n", type=int, default=1)
-    r.add_argument("--m", type=int, default=0)
     r.add_argument("--dim", type=int, default=4)
     r.add_argument("--count", type=int, default=8)
     r.add_argument("--epsilon", type=float, default=0.9)

@@ -26,6 +26,12 @@ from . import qmath
 from .qmath import HermitianOperator, StateVector
 
 MAX_REPORT_DIM = 256
+# Size guards on a random codebook.  Memory grows with d through the fill
+# block: at count 8 a `run --protocol codebook` peaked at 38 MB at dim 16 and
+# 68 MB at dim 256.  One polish step at count 256 takes 1.4 ms at dim 4 and
+# 7.4 ms at dim 256, so a packing that never converges fails after 6-37 s.
+MAX_CODEBOOK_DIM = 256
+MAX_CODEBOOK_COUNT = 256
 # Greedy fill draws at most MAX_FILL_ATTEMPTS Haar candidates, FILL_BLOCK at
 # a time, and screens them FILL_CHUNK at a time: acceptance re-screens only
 # the rest of one chunk, so neither a nearly empty nor a nearly full
@@ -174,7 +180,8 @@ def random_codebook(
     block of candidates is rejected (or MAX_FILL_ATTEMPTS run out) any
     shortfall is filled with fresh Haar vectors and the whole set is polished
     by repulsion descent, then re-certified.  Deterministic for a fixed rng
-    state.  An epsilon at or below the Welch bound
+    state.  d and count are capped at MAX_CODEBOOK_DIM and MAX_CODEBOOK_COUNT
+    (TooLarge).  An epsilon at or below the Welch bound
     sqrt((count - d) / (d (count - 1))) admits no packing at all, so it
     fails before any candidate is drawn.
     """
@@ -182,6 +189,10 @@ def random_codebook(
         raise DomainError(f"d must be >= 1, got {d}")
     if count < 2:
         raise DomainError("count must be >= 2")
+    if d > MAX_CODEBOOK_DIM:
+        raise TooLarge(f"d {d} exceeds the guard {MAX_CODEBOOK_DIM}")
+    if count > MAX_CODEBOOK_COUNT:
+        raise TooLarge(f"count {count} exceeds the guard {MAX_CODEBOOK_COUNT}")
     if not (0.0 < epsilon <= 1.0):
         raise DomainError("epsilon must lie in (0, 1]")
     if count > d and epsilon <= math.sqrt((count - d) / (d * (count - 1))):

@@ -14,7 +14,6 @@ messages are equal iff their serialized lines are equal.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import inspect
 import json
@@ -253,13 +252,6 @@ class _HonestBitwiseAlice(SessionStrategy):
         return self.bits
 
 
-@functools.lru_cache(maxsize=128)
-def _cheat_row(theta: float) -> np.ndarray:
-    """Amplitudes of the bit-wise cheat state, solved once per theta; they are
-    read-only, like every StateVector's, so callers can share the array."""
-    return bitwise.optimal_bit_cheat(theta)[0].amplitudes
-
-
 @register_strategy("BitwiseCommit", "alice", "cheat_state")
 class _CheatStateAlice(SessionStrategy):
     """Sends the optimal cheat state on every qubit, then reveals one bit
@@ -273,7 +265,8 @@ class _CheatStateAlice(SessionStrategy):
 
     def pick_states(self, params, rng):
         self.n = params.n
-        return np.tile(_cheat_row(params.theta), (params.n, 1))
+        cheat, _, _ = bitwise.optimal_bit_cheat(params.theta)
+        return np.tile(cheat.amplitudes, (params.n, 1))
 
     def claim(self, rng) -> str:
         bit = self.reveal_bit if self.reveal_bit is not None else int(rng.integers(2))
@@ -282,9 +275,7 @@ class _CheatStateAlice(SessionStrategy):
 
 def _run_bitwise(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
     send = _send_path(t, alice, bob)
-    params = bitwise.SecurityParams(
-        theta=params_dict["theta"], n=params_dict["n"], m=params_dict.get("m", 0)
-    )
+    params = bitwise.SecurityParams(theta=params_dict["theta"], n=params_dict["n"])
     states = alice.pick_states(params, rng)
     send("alice", "commit", {"n": params.n, "states": qmath._read_only(states)})
     send("bob", "commit_ack", {})

@@ -24,7 +24,7 @@ def test_01_bitwise_cheat_ceiling():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     for theta in THETA_GRID:
-        params = bitwise.SecurityParams(theta=theta, n=2, m=0)
+        params = bitwise.SecurityParams(theta=theta, n=2)
         a0, a1 = bitwise.encode_string("01", params)
         Q = qmath.HermitianOperator(np.outer(a0, a0.conj()) + np.outer(a1, a1.conj()))
         top = qmath.hermitian_eigen(Q).eigenvalues[0]

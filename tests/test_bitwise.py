@@ -14,17 +14,26 @@ def h2(p):
 
 def encode(bit, theta):
     """The encoding of one bit, as a 2-amplitude array."""
-    return bitwise.encode_string(str(bit), SecurityParams(theta=theta, n=1, m=0))[0]
+    return bitwise.encode_string(str(bit), SecurityParams(theta=theta, n=1))[0]
+
+
+def projector_sum(theta, sign):
+    """P0 + sign * P1 as a HermitianOperator."""
+    psi0, psi1 = encode(0, theta), encode(1, theta)
+    return qmath.HermitianOperator(
+        np.outer(psi0, psi0.conj()) + sign * np.outer(psi1, psi1.conj())
+    )
+
+
+# Both eigenvalue gaps of the 2 x 2 problems stay above 0.07 on this grid,
+# except that P0 - P1 vanishes at pi/2.
+THETA_GRID = np.linspace(0.05, math.pi / 2, 40)
 
 
 class TestParams:
     def test_rejects_bad_theta(self):
         with pytest.raises(DomainError):
-            SecurityParams(theta=0.0, n=4, m=1)
-
-    def test_rejects_bad_m(self):
-        with pytest.raises(DomainError):
-            SecurityParams(theta=0.3, n=4, m=4)
+            SecurityParams(theta=0.0, n=4)
 
 
 class TestEncodeCommit:
@@ -38,22 +47,22 @@ class TestEncodeCommit:
         np.testing.assert_allclose(encode(1, 0.3), [math.sin(0.3), math.cos(0.3)])
 
     def test_commit_all_zero(self):
-        c = bitwise.encode_string("000", SecurityParams(theta=0.3, n=3, m=0))
+        c = bitwise.encode_string("000", SecurityParams(theta=0.3, n=3))
         assert c.shape == (3, 2)
         for q in c:
             np.testing.assert_allclose(q, [1, 0])
 
     def test_commit_composition(self):
-        c = bitwise.encode_string("01", SecurityParams(theta=0.3, n=2, m=0))
+        c = bitwise.encode_string("01", SecurityParams(theta=0.3, n=2))
         np.testing.assert_allclose(c[1], [math.sin(0.3), math.cos(0.3)])
 
     def test_commit_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            bitwise.encode_string("01", SecurityParams(theta=0.3, n=3, m=0))
+            bitwise.encode_string("01", SecurityParams(theta=0.3, n=3))
 
     def test_commit_rejects_non_bits(self):
         with pytest.raises(DomainError):
-            bitwise.encode_string("02", SecurityParams(theta=0.3, n=2, m=0))
+            bitwise.encode_string("02", SecurityParams(theta=0.3, n=2))
 
 
 class TestUnveil:
@@ -61,14 +70,14 @@ class TestUnveil:
         # 1e4 trials spread over the theta grid: honest claims always accepted
         rng = np.random.default_rng(0)
         for theta in (0.1, 0.3, 0.6, 1.0):
-            params = SecurityParams(theta=theta, n=4, m=0)
+            params = SecurityParams(theta=theta, n=4)
             held = bitwise.encode_string("0110", params)
             for _ in range(2500):
                 assert bitwise.verify_unveil(held, "0110", theta, rng) is None
 
     def test_false_claim_acceptance_rate(self):
         theta = 0.3
-        held = bitwise.encode_string("0", SecurityParams(theta=theta, n=1, m=0))
+        held = bitwise.encode_string("0", SecurityParams(theta=theta, n=1))
         rng = np.random.default_rng(1)
         trials = 100_000
         acc = sum(
@@ -79,14 +88,14 @@ class TestUnveil:
         assert abs(acc / trials - p) < 3 * sigma
 
     def test_wrong_length(self):
-        held = bitwise.encode_string("01", SecurityParams(theta=0.3, n=2, m=0))
+        held = bitwise.encode_string("01", SecurityParams(theta=0.3, n=2))
         with pytest.raises(LengthMismatch):
             bitwise.verify_unveil(held, "011", 0.3, np.random.default_rng(0))
 
     def test_one_draw_per_qubit_up_to_first_failure(self):
         # qubit i passes iff its uniform draw is below sin^2(theta)
         theta = 0.3
-        held = bitwise.encode_string("0000", SecurityParams(theta=theta, n=4, m=0))
+        held = bitwise.encode_string("0000", SecurityParams(theta=theta, n=4))
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         failing = bitwise.verify_unveil(held, "1111", theta, rng)
         assert failing is not None
@@ -113,23 +122,16 @@ class TestCheat:
 
     def test_bound_agrees_with_eigensolver(self):
         for theta in (0.1, 0.3, 1.0):
-            psi0 = encode(0, theta)
-            psi1 = encode(1, theta)
-            Q = qmath.HermitianOperator(
-                np.outer(psi0, psi0.conj()) + np.outer(psi1, psi1.conj())
-            )
-            top = qmath.hermitian_eigen(Q).eigenvalues[0]
+            top = qmath.hermitian_eigen(projector_sum(theta, 1)).eigenvalues[0]
             assert bitwise.cheat_bound(theta) == pytest.approx(top, abs=1e-9)
 
     def test_cheat_vector_closed_form(self):
-        # The top eigenvector of P0 + P1 is (psi0 + psi1) / ||psi0 + psi1||,
-        # up to a global phase.
-        for theta in (0.05, 0.1, 0.3, 0.6, 1.0, math.pi / 2):
-            psi0 = encode(0, theta)
-            psi1 = encode(1, theta)
-            closed = (psi0 + psi1) / np.linalg.norm(psi0 + psi1)
-            cheat, _, _ = bitwise.optimal_bit_cheat(theta)
-            assert abs(np.vdot(closed, cheat.amplitudes)) == pytest.approx(1, abs=1e-9)
+        # oracle: the top Jacobi eigenvector of P0 + P1, up to a global phase
+        for theta in THETA_GRID:
+            top = qmath.hermitian_eigen(projector_sum(theta, 1)).eigenvectors[:, 0]
+            cheat = bitwise.optimal_bit_cheat(theta)[0].amplitudes
+            phase = np.vdot(top, cheat) / abs(np.vdot(top, cheat))
+            assert np.abs(cheat - phase * top).max() < 1e-12
 
     def test_bound_below_linear(self):
         for theta in np.linspace(0.01, math.pi / 2, 25):
@@ -158,7 +160,7 @@ class TestEnsemble:
     def test_matches_explicit_mixture(self):
         # oracle: brute-force equal mixture over all 2^n product encodings
         n, theta = 3, 0.3
-        params = SecurityParams(theta=theta, n=n, m=0)
+        params = SecurityParams(theta=theta, n=n)
         mix = np.zeros((2**n, 2**n), dtype=complex)
         for idx in range(2**n):
             bits = format(idx, f"0{n}b")
@@ -248,6 +250,14 @@ class TestHelstrom:
         plus, minus = bitwise.helstrom_measurement(theta)
         attained = 0.5 * np.real(np.vdot(psi0, plus @ psi0) + np.vdot(psi1, minus @ psi1))
         assert attained == pytest.approx(closed, abs=1e-9)
+
+    def test_measurement_matches_jacobi(self):
+        # oracle: Jacobi eigenprojectors of P0 - P1, positive one first
+        for theta in THETA_GRID[THETA_GRID < math.pi / 2]:
+            V = qmath.hermitian_eigen(projector_sum(theta, -1)).eigenvectors
+            jacobi = [np.outer(V[:, k], V[:, k].conj()) for k in (0, 1)]
+            for P, Q in zip(bitwise.helstrom_measurement(theta), jacobi):
+                assert np.abs(P - Q).max() < 1e-12
 
     def test_measurement_is_a_pair_of_projectors(self):
         for theta in (0.05, 0.3, 1.0):

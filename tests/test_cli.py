@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mistrustq import cli, qmath
+from mistrustq import bitwise, cli, codebook, cointoss, qmath
 from mistrustq.cli import SweepSpec, main, run_sweep
 from mistrustq.errors import InvalidSpec
 from mistrustq.harness import StrategyDescriptor, run_session, serialize
@@ -176,13 +181,20 @@ class TestRun:
               "--pairs", "2"], "exceeds the guard 1048576"),
             (["run", "--protocol", "cointoss", "--batches", "2", "--pairs", "1048577"],
              "exceeds the guard 1048576"),
+            (["run", "--protocol", "bitwise", "--n", "1000001"],
+             "n 1000001 exceeds the guard 1000000"),
+            (["run", "--protocol", "codebook", "--dim", "257"], "d 257 exceeds the guard 256"),
+            (["run", "--protocol", "codebook", "--count", "257"],
+             "count 257 exceeds the guard 256"),
         ],
         ids=["trials-0", "unknown-param", "non-number", "fraction-2",
              "advantage-no-pairs", "detection-no-pairs", "reveal-bit-2",
              "reveal-bit-fraction", "r-above-count", "r-negative", "r-fraction",
              "dim-above-jacobi-guard", "sweep-codebook-r-0", "sweep-codebook-epsilon-nan",
              "sweep-M-fraction", "sweep-values-not-numbers", "sweep-unused-variable",
-             "dim-0", "dim-negative", "sweep-M-above-pair-guard", "pairs-above-pair-guard"],
+             "dim-0", "dim-negative", "sweep-M-above-pair-guard", "pairs-above-pair-guard",
+             "n-above-session-guard", "dim-above-codebook-guard",
+             "count-above-codebook-guard"],
     )
     def test_bad_input_runtime_error(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv, "--seed", "1")
@@ -335,3 +347,94 @@ class TestDeterminism:
         for p in sorted(dirs[0].iterdir()):
             q = dirs[1] / p.name
             assert p.read_bytes() == q.read_bytes()
+
+
+# Edge values for every numeric flag; sizes that pass stay at 16 or below, and
+# the only larger ones are one above a size guard, which rejects them before
+# anything is allocated.
+EDGE = ("0", "-1", "nan", "inf", "-inf", "1e30", "0.5", "2.5", "1", "2", "16")
+ABOVE_GUARD = {
+    "--n": bitwise.MAX_SESSION_N + 1,
+    "--dim": codebook.MAX_CODEBOOK_DIM + 1,
+    "--count": codebook.MAX_CODEBOOK_COUNT + 1,
+    "--batches": cointoss.MAX_PAIRS + 1,
+    "--pairs": cointoss.MAX_PAIRS + 1,
+    "--values": cointoss.MAX_PAIRS + 1,
+}
+LIST_FLAGS = {"bounds": ("--theta", "--n", "--r2"), "run": (), "sweep": ("--values",)}
+REQUIRED = {"bounds": ("--theta",), "run": (), "sweep": ("--values",)}
+OPTIONAL = {
+    "bounds": ("--n", "--r", "--epsilon", "--r2"),
+    "run": ("--theta", "--n", "--dim", "--count", "--epsilon", "--batches", "--pairs",
+            "--trials"),
+    "sweep": ("--trials", "--theta", "--n", "--r", "--epsilon", "--batches", "--pairs",
+              "--tamper-fraction"),
+}
+STRATEGY_PARAMS = {
+    "alice": (("honest", None), ("cheat_state", "reveal_bit"), ("multistring", "r"),
+              ("tamper", "fraction"), ("tamper_one_batch", "batch_index")),
+    "bob": (("honest", None), ("best_of_m", None)),
+}
+CHOICES = {
+    "run": {"--protocol": tuple(cli.PROTOCOL_NAMES), "--construction": ("random", "simplex")},
+    "sweep": {"--metric": tuple(cli.METRIC_PARAMS),
+              "--variable": ("theta", "n", "r", "epsilon", "M", "N", "tamper_fraction")},
+}
+
+
+@st.composite
+def edge_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONAL)))
+    argv = [command]
+    for flag, options in CHOICES.get(command, {}).items():
+        argv += [flag, draw(st.sampled_from(options))]
+    optional = draw(st.lists(st.sampled_from(OPTIONAL[command]), unique=True, max_size=4))
+    for flag in REQUIRED[command] + tuple(optional):
+        values = EDGE + ((str(ABOVE_GUARD[flag]),) if flag in ABOVE_GUARD else ())
+        size = 2 if flag in LIST_FLAGS[command] else 1
+        argv += [flag, ",".join(draw(st.lists(st.sampled_from(values), min_size=1,
+                                              max_size=size)))]
+    if command == "run":
+        for party, strategies in STRATEGY_PARAMS.items():
+            name, key = draw(st.sampled_from(strategies))
+            if key is not None and draw(st.booleans()):
+                name += f":{key}={draw(st.sampled_from(EDGE))}"
+            argv += [f"--{party}", name]
+    if command != "bounds":
+        argv += ["--seed", draw(st.sampled_from(("0", "1", "-1")))]
+    return argv
+
+
+class TestEdgeInput:
+    @given(edge_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_and_message(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error:"), argv
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The `mistrustq ...` commands of README's CLI block, as argv lists."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("mistrustq ")]
+
+
+class TestReadme:
+    def test_cli_commands_exit_0(self, tmp_path, capsys):
+        commands = readme_cli_commands()
+        assert len(commands) == 4
+        for argv in commands:
+            argv = [str(tmp_path / "out") if a == "out/" else a for a in argv]
+            assert main(argv) == 0, argv

@@ -96,12 +96,12 @@ GOLDEN = [
     ),
     pytest.param(
         BITWISE + ["--seed", "51"],
-        "3d8336d334524d264fd33c626444f0e693be2cc9c88c62b319df9aebe2d30a55",
+        "178417b5eb9f539bcd7ae0e3b0162c1fe58b51bf134d5d65754eb5d1fc7d5b0d",
         id="run-bitwise-honest-transcripts",
     ),
     pytest.param(
         BITWISE + ["--alice", "cheat_state", "--seed", "52"],
-        "88966a3887b8ed1e2bacfb177418b4f9858466ef5eae7c281d694a857b870c90",
+        "27248a145028dc3ce8046d3ea70ef8d3d17047ba2024b222fa874332874f5b0a",
         id="run-bitwise-cheat_state-transcripts",
     ),
     pytest.param(

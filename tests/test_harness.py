@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mistrustq import bitwise, harness
+from mistrustq import harness
 from mistrustq.errors import DeserializeError, ProtocolViolation, UnknownStrategy
 from mistrustq.harness import (
     StrategyDescriptor,
@@ -134,6 +135,27 @@ class TestRunSession:
         a = serialize(run_session(protocol, params, alice, bob, 99))
         b = serialize(run_session(protocol, params, alice, bob, 99))
         assert a == b
+
+    def test_header_with_unread_m_replays(self):
+        # Written when `run` still recorded an unread "m": 0 in bit-wise
+        # headers; the session ignores the key and the header keeps it.
+        data = "\n".join([
+            '{"format_version": 1, "protocol": "BitwiseCommit", "params": '
+            '{"theta": 0.29999999999999999, "n": 2, "m": 0}, "seed": 6284700796347456730}',
+            '{"seq": 0, "sender": "alice", "kind": "commit", "payload": {"n": 2, "states": '
+            '[[[0.29552020666133955, 0], [0.95533648912560598, 0]], '
+            '[[0.29552020666133955, 0], [0.95533648912560598, 0]]]}}',
+            '{"seq": 1, "sender": "bob", "kind": "commit_ack", "payload": {}}',
+            '{"seq": 2, "sender": "alice", "kind": "unveil", "payload": {"claimed": "11"}}',
+            '{"seq": 3, "sender": "bob", "kind": "verdict", "payload": '
+            '{"accepted": true, "failing_index": null}}',
+            '{"verdict": "Accepted"}',
+            "",
+        ]).encode()
+        header = json.loads(data.splitlines()[0])
+        t = run_session(header["protocol"], header["params"], ALICE_HONEST, BOB_HONEST,
+                        header["seed"])
+        assert serialize(t) == data
 
     @pytest.mark.parametrize("protocol,params,alice,bob", MATRIX)
     def test_sender_alternation(self, protocol, params, alice, bob):
@@ -299,13 +321,3 @@ class TestArrayPayloads:
         other = harness.Message(m.seq, m.sender, m.kind, {**m.payload, "states": flipped})
         assert other != m
         assert other == harness.Message(m.seq, m.sender, m.kind, dict(other.payload))
-
-
-class TestCheatRow:
-    @pytest.mark.parametrize("theta", [0.05, 0.3, math.pi / 2])
-    def test_cached_row_is_the_read_only_cheat_state(self, theta):
-        row = harness._cheat_row(theta)
-        assert row is harness._cheat_row(theta)
-        assert row.tobytes() == bitwise.optimal_bit_cheat(theta)[0].amplitudes.tobytes()
-        with pytest.raises(ValueError):
-            row[0] = 0
