@@ -21,6 +21,7 @@ from . import bitwise, codebook, cointoss
 from .errors import InvalidSpec, SimulationError
 from .harness import (
     StrategyDescriptor,
+    build_codebook,
     format_value,
     rng_stream,
     run_session,
@@ -124,6 +125,7 @@ def _session_params(args) -> dict:
             "count": args.count,
             "epsilon": args.epsilon,
             "construction": args.construction,
+            "codebook_seed": _trial_seed(args.seed, -1),
         }
     return {"M": args.batches, "N": args.pairs}
 
@@ -137,13 +139,16 @@ def cmd_run(args) -> int:
     bob = _parse_strategy("bob", args.bob)
     if args.transcripts_dir:
         Path(args.transcripts_dir).mkdir(parents=True, exist_ok=True)
+    # The codebook is public: one build serves every trial of the run.
+    cb = build_codebook(params, args.seed) if protocol == "CodebookCommit" else None
 
     verdicts: dict[str, int] = {}
     accept_by_claim = {"0": [0, 0], "1": [0, 0]}  # claim bit -> [accepted, total]
     bit_counts = [0, 0]
     advantages = []
     for trial in range(args.trials):
-        t = run_session(protocol, params, alice, bob, _trial_seed(args.seed, trial))
+        seed = _trial_seed(args.seed, trial)
+        t = run_session(protocol, params, alice, bob, seed, codebook=cb)
         verdicts[t.verdict] = verdicts.get(t.verdict, 0) + 1
         for m in t.messages:
             if m.kind == "unveil" and "claimed" in m.payload:

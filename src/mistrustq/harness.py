@@ -327,7 +327,8 @@ register_strategy("CodebookCommit", "bob", "honest")(SessionStrategy)
 
 
 def build_codebook(params_dict: dict, seed: int):
-    """Shared public codebook for a session, derived from the session seed."""
+    """A CodebookCommit session's public codebook: the simplex, or the random
+    packing seeded by params_dict["codebook_seed"], or by seed in older headers."""
     construction = params_dict.get("construction", "random")
     if construction == "simplex":
         return codebook.simplex_codebook(params_dict["dim"])
@@ -335,13 +336,14 @@ def build_codebook(params_dict: dict, seed: int):
         params_dict["dim"],
         params_dict["count"],
         params_dict["epsilon"],
-        rng_stream(seed, "codebook"),
+        rng_stream(params_dict.get("codebook_seed", seed), "codebook"),
     )
 
 
-def _run_codebook(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
+def _run_codebook(params_dict: dict, alice, bob, rng, t: Transcript, cb=None) -> None:
     send = _send_path(t, alice, bob)
-    cb = build_codebook(params_dict, t.seed)
+    if cb is None:
+        cb = build_codebook(params_dict, t.seed)
     state = alice.pick_state(cb, rng)
     send("alice", "commit", {"state": qmath._read_only(state)})
     send("bob", "commit_ack", {})
@@ -463,13 +465,17 @@ def run_session(
     alice: StrategyDescriptor,
     bob: StrategyDescriptor,
     seed: int,
+    *,
+    codebook=None,
 ) -> Transcript:
     """Drive one protocol session to a terminal verdict.
 
     Deterministic: equal inputs give byte-identical serialized transcripts.
+    codebook: a CodebookCommit session's public codebook, from
+    build_codebook(params, seed); the session builds it when absent.
     """
     rng = rng_stream(seed, "session")
-    return run_session_with_rng(protocol, params, alice, bob, seed, rng)
+    return run_session_with_rng(protocol, params, alice, bob, seed, rng, codebook=codebook)
 
 
 def run_session_with_rng(
@@ -479,9 +485,11 @@ def run_session_with_rng(
     bob: StrategyDescriptor,
     seed: int,
     rng: np.random.Generator,
+    *,
+    codebook=None,
 ) -> Transcript:
-    """run_session drawing from the caller's rng; seed is only recorded
-    (and derives the public codebook of a CodebookCommit session)."""
+    """run_session drawing from the caller's rng; seed is only recorded (and
+    seeds a CodebookCommit codebook whose params carry no codebook_seed)."""
     if protocol not in _DRIVERS:
         raise UnknownStrategy(f"unknown protocol {protocol!r}")
     if alice.party != "alice" or bob.party != "bob":
@@ -489,5 +497,6 @@ def run_session_with_rng(
     alice_s = resolve_strategy(protocol, alice)
     bob_s = resolve_strategy(protocol, bob)
     t = Transcript(protocol=protocol, params=params, seed=seed)
-    _DRIVERS[protocol](params, alice_s, bob_s, rng, t)
+    shared = {} if codebook is None else {"cb": codebook}
+    _DRIVERS[protocol](params, alice_s, bob_s, rng, t, **shared)
     return t

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import shlex
@@ -19,6 +20,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def record_builds(monkeypatch) -> list:
+    """Wrap codebook.random_codebook so the test sees every codebook it builds."""
+    built, build = [], codebook.random_codebook
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(codebook, "random_codebook", recording)
+    return built
 
 
 class TestBounds:
@@ -101,6 +114,29 @@ class TestRun:
         bound = 1 + math.sin(0.3)
         sigma = 2 * math.sqrt(0.25 / 10_000)
         assert abs(total - bound) < 3 * sigma
+
+    def test_multistring_acceptance_matches_exact_mean(self, capsys, monkeypatch):
+        # Against the run's one codebook a trial accepts with probability
+        # lambda_max(Q_T) / r for a uniform target set T, so the acceptance
+        # frequency estimates the mean of that over all C(count, r) sets.
+        built = record_builds(monkeypatch)
+        trials, r = 500, 2
+        code, out, _ = run_cli(
+            capsys,
+            "run", "--protocol", "codebook", "--alice", f"multistring:r={r}",
+            "--seed", "5", "--trials", str(trials), "--format", "json",
+        )
+        assert code == 0
+        [cb] = built
+        V = cb.vectors
+        expected = np.mean([
+            np.linalg.eigvalsh(V[list(T)].T @ V[list(T)].conj())[-1] / r
+            for T in itertools.combinations(range(cb.count), r)
+        ])
+        rows = {row["key"]: row["value"] for row in json.loads(out)}
+        freq = rows.get("verdict_Accepted", 0) / trials
+        sigma = math.sqrt(expected * (1 - expected) / trials)
+        assert abs(freq - expected) < 4 * sigma
 
     def test_unknown_protocol_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -250,6 +286,28 @@ class TestRun:
         assert code == 0
         names = sorted(p.name for p in d.iterdir())
         assert names == [f"CoinToss-9-{i}.jsonl" for i in range(3)]
+
+
+class TestOneCodebookPerRun:
+    def headers(self, capsys, tmp_path, *argv) -> list[dict]:
+        d = tmp_path / "tr"
+        code, _, _ = run_cli(capsys, "run", "--protocol", "codebook", *argv,
+                             "--transcripts-dir", str(d))
+        assert code == 0
+        return [json.loads(p.read_bytes().splitlines()[0]) for p in sorted(d.iterdir())]
+
+    def test_one_build_per_run(self, capsys, tmp_path, monkeypatch):
+        built = record_builds(monkeypatch)
+        headers = self.headers(capsys, tmp_path, "--seed", "3", "--trials", "16")
+        assert len(built) == 1
+        assert len(headers) == 16
+        assert len({h["params"]["codebook_seed"] for h in headers}) == 1
+        assert len({h["seed"] for h in headers}) == 16
+
+    def test_codebook_seed_follows_run_seed(self, capsys, tmp_path):
+        a = self.headers(capsys, tmp_path / "a", "--seed", "3")
+        b = self.headers(capsys, tmp_path / "b", "--seed", "4")
+        assert a[0]["params"]["codebook_seed"] != b[0]["params"]["codebook_seed"]
 
 
 class TestSweep:
@@ -434,7 +492,7 @@ def readme_cli_commands() -> list[list[str]]:
 class TestReadme:
     def test_cli_commands_exit_0(self, tmp_path, capsys):
         commands = readme_cli_commands()
-        assert len(commands) == 4
+        assert len(commands) == 5
         for argv in commands:
             argv = [str(tmp_path / "out") if a == "out/" else a for a in argv]
             assert main(argv) == 0, argv

@@ -106,12 +106,12 @@ GOLDEN = [
     ),
     pytest.param(
         CODEBOOK + ["--seed", "53"],
-        "78e56f7ee1291c74914ca43d86586f82f21e45ff57ab39026642d7b30bdcbcbb",
+        "bf20c5af2fe60cd99b7581c2147d94378b2893c6d5baa77fb17039c727099cfd",
         id="run-codebook-honest-transcripts",
     ),
     pytest.param(
         CODEBOOK + ["--alice", "multistring:r=2", "--seed", "54"],
-        "e709a430cacda6debc055a93a9e458ace3ca8d6ecd3bbb0990e87455df99c56a",
+        "d2c8d0f10f8be515c769d0f0507c98fe6d5c1c03083afee9404b5b84675bcafb",
         id="run-codebook-multistring-transcripts",
     ),
     pytest.param(

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from mistrustq import harness
+from mistrustq import cli, harness
 from mistrustq.errors import DeserializeError, ProtocolViolation, UnknownStrategy
 from mistrustq.harness import (
     StrategyDescriptor,
@@ -156,6 +157,32 @@ class TestRunSession:
         t = run_session(header["protocol"], header["params"], ALICE_HONEST, BOB_HONEST,
                         header["seed"])
         assert serialize(t) == data
+
+    def test_run_transcript_replays_from_its_header(self, tmp_path):
+        # `run` builds the codebook once and hands it to every trial; the
+        # header's codebook_seed alone must rebuild it for a later trial.
+        d = tmp_path / "tr"
+        argv = ["run", "--protocol", "codebook", "--alice", "multistring:r=2",
+                "--seed", "8", "--trials", "3", "--transcripts-dir", str(d),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        data = (d / "CodebookCommit-8-2.jsonl").read_bytes()
+        header = json.loads(data.splitlines()[0])
+        assert "codebook_seed" in header["params"]
+        alice = StrategyDescriptor("alice", "multistring", {"r": 2})
+        t = run_session(header["protocol"], header["params"], alice, BOB_HONEST,
+                        header["seed"])
+        assert serialize(t) == data
+
+    def test_header_without_codebook_seed_replays_as_before(self):
+        # Headers written before codebook_seed existed draw the codebook from
+        # the session seed; this digest was computed on that code.
+        params = {"dim": 4, "count": 8, "epsilon": 0.9, "construction": "random"}
+        alice = StrategyDescriptor("alice", "multistring", {"r": 2})
+        data = serialize(run_session("CodebookCommit", params, alice, BOB_HONEST, 54))
+        assert hashlib.sha256(data).hexdigest() == (
+            "cb76a7c51c0bd637d32f7e8e82b90c9209b5e7123c69f43a464f113cdab4cbba"
+        )
 
     @pytest.mark.parametrize("protocol,params,alice,bob", MATRIX)
     def test_sender_alternation(self, protocol, params, alice, bob):
