@@ -143,7 +143,7 @@ def min_n_for(r: int, theta: float) -> int:
         raise DomainError("r must be >= 1")
     if not (0.0 < theta < math.pi / 2):
         raise DomainError(f"theta {theta} outside (0, pi/2)")
-    per_qubit = 1.0 - qmath.binary_entropy((1.0 + math.sin(theta)) / 2.0)
+    per_qubit = 1.0 - bob_entropy(1, theta)
     if per_qubit <= 0.0:
         raise Unbounded(f"per-qubit gap underflows to 0 at theta {theta}")
     n = max(1, math.floor(r / per_qubit))

@@ -25,7 +25,6 @@ from .harness import (
     format_value,
     rng_stream,
     run_session,
-    run_session_with_rng,
     serialize,
 )
 
@@ -240,7 +239,7 @@ def _sweep_point(spec: SweepSpec, value) -> tuple[float, float]:
         )
         bob = StrategyDescriptor("bob", "honest")
         hits = [
-            run_session_with_rng("CoinToss", params, alice, bob, spec.seed, rng).verdict
+            run_session("CoinToss", params, alice, bob, spec.seed, rng=rng).verdict
             == "CheatDetected"
             for _ in range(spec.trials)
         ]

@@ -308,8 +308,8 @@ def optimal_multistring_cheat(codebook: Codebook, targets) -> CheatReport:
     targets = _check_targets(codebook, targets)
     B = codebook.vectors[list(targets)]
     gram = len(targets) < codebook.dim
-    H = B.conj() @ B.T if gram else sum(np.outer(v, v.conj()) for v in B)
-    w, V = qmath.hermitian_eigen(HermitianOperator(H))
+    H = gram_matrix(codebook, targets) if gram else cheat_operator(codebook, targets)
+    w, V = qmath.hermitian_eigen(H)
     U = V[:, w >= w[0] * (1.0 - TOP_EIGENSPACE_RTOL)]
     P = U @ U.conj().T
     cheat = _top_state(B.T @ P if gram else P @ B.T)

@@ -46,11 +46,11 @@ class DuplicateTargets(SimulationError):
 
 
 class UnknownStrategy(SimulationError):
-    """A strategy name does not resolve to a registered strategy."""
+    """A strategy name or parameter does not resolve to a protocol's strategy."""
 
 
 class ProtocolViolation(SimulationError):
-    """A strategy emitted a message out of order (harness bug, not cheating)."""
+    """A session driver sent a message out of order (harness bug, not cheating)."""
 
 
 class DeserializeError(SimulationError):

@@ -2,10 +2,11 @@
 
 A session drives one protocol to a terminal verdict while recording every
 message.  Transcripts serialize to JSON lines and replay byte-identically
-for equal inputs.  Every message goes through one send path, which appends
-it to the transcript and hands the peer strategy its classical view: the
-transcript keeps quantum states for replay, but a strategy never sees the
-amplitudes its peer sent, only "<quantum>" in their place.
+for equal inputs.  A strategy is a plain function of public inputs: Alice's
+takes the session params (or the public codebook) and the session rng and
+returns what she sends and later claims; Bob's is a flag that says whether
+he cheats.  No strategy is ever handed a message, so none sees the
+amplitudes its peer sent; the transcript alone keeps them, for replay.
 
 Quantum payloads ("states", "state") are read-only complex arrays in memory
 and nested [re, im] lists on disk; ``deserialize`` returns the lists.  Two
@@ -14,6 +15,7 @@ messages are equal iff their serialized lines are equal.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -132,10 +134,10 @@ def serialize(t: Transcript) -> bytes:
 
 
 def deserialize(data: bytes) -> Transcript:
-    lines = data.decode("utf-8").splitlines()
-    if len(lines) < 2:
-        raise DeserializeError("transcript needs a header and a footer")
     try:
+        lines = data.decode("utf-8").splitlines()
+        if len(lines) < 2:
+            raise DeserializeError("transcript needs a header and a footer")
         header = json.loads(lines[0])
         footer = json.loads(lines[-1])
         if header["format_version"] != FORMAT_VERSION:
@@ -168,162 +170,67 @@ class StrategyDescriptor:
     parameters: dict = field(default_factory=dict)
 
 
-class SessionStrategy:
-    """Base for in-session strategies; records what the engine lets it see."""
-
-    def __init__(self):
-        self.observed: list[tuple[str, str, dict]] = []
-
-    def observe(self, message: Message, visible_payload: dict) -> None:
-        self.observed.append((message.sender, message.kind, visible_payload))
-
-
-_QUANTUM_KEYS = ("states", "state")
-
-
-def _classical_view(payload: dict) -> dict:
-    """Strip quantum state descriptions; strategies cannot read amplitudes."""
-    return {
-        k: ("<quantum>" if k in _QUANTUM_KEYS else v) for k, v in payload.items()
-    }
-
-
-_REGISTRY: dict[tuple[str, str, str], tuple[type, inspect.Signature]] = {}
-
-
-def register_strategy(protocol: str, party: str, name: str):
-    def deco(cls):
-        _REGISTRY[(protocol, party, name)] = cls, inspect.signature(cls)
-        return cls
-
-    return deco
-
-
-def resolve_strategy(protocol: str, desc: StrategyDescriptor) -> SessionStrategy:
-    key = (protocol, desc.party, desc.name)
-    if key not in _REGISTRY:
-        raise UnknownStrategy(f"no {desc.party} strategy {desc.name!r} for {protocol}")
-    cls, signature = _REGISTRY[key]
-    try:
-        signature.bind(**desc.parameters)
-    except TypeError as exc:
-        raise UnknownStrategy(f"{desc.party} strategy {desc.name!r}: {exc}") from None
-    return cls(**desc.parameters)
-
-
 def _int_param(name: str, value, lo: int, hi: int | None = None) -> int:
-    """A strategy's integer parameter, checked when the strategy is built."""
+    """A strategy's integer parameter, checked when the strategy is called."""
     if not float(value).is_integer() or value < lo or (hi is not None and value > hi):
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise DomainError(f"{name} must be an integer {span}, got {value}")
     return int(value)
 
 
-def _send_path(t: Transcript, alice, bob):
-    """send(sender, kind, payload): append the message to t and hand the
-    peer its classical view."""
-    peer = {"alice": bob, "bob": alice}
-
-    def send(sender: str, kind: str, payload: dict) -> None:
-        msg = t.append(sender, kind, payload)
-        peer[sender].observe(msg, _classical_view(msg.payload))
-
-    return send
-
-
-def _send_verdict(send, t: Transcript, failing_index) -> None:
+def _send_verdict(t: Transcript, failing_index) -> None:
     """Bob's verdict on an unveiling: accepted iff nothing failed."""
     accepted = failing_index is None
-    send("bob", "verdict", {"accepted": accepted, "failing_index": failing_index})
+    t.append("bob", "verdict", {"accepted": accepted, "failing_index": failing_index})
     t.verdict = "Accepted" if accepted else "Rejected"
 
 
-# --- bitwise commitment strategies -----------------------------------------
+# --- bitwise commitment: (params, rng) -> (states, claim) -------------------
 
 
-@register_strategy("BitwiseCommit", "alice", "honest")
-class _HonestBitwiseAlice(SessionStrategy):
-    def pick_states(self, params, rng):
-        bits = "".join(str(b) for b in rng.integers(0, 2, size=params.n))
-        self.bits = bits
-        return bitwise.encode_string(bits, params)
-
-    def claim(self, rng) -> str:
-        return self.bits
+def _honest_bitwise(params, rng, /):
+    bits = "".join(str(b) for b in rng.integers(0, 2, size=params.n))
+    return bitwise.encode_string(bits, params), bits
 
 
-@register_strategy("BitwiseCommit", "alice", "cheat_state")
-class _CheatStateAlice(SessionStrategy):
+def _cheat_state(params, rng, /, *, reveal_bit=None):
     """Sends the optimal cheat state on every qubit, then reveals one bit
     value everywhere (a random one unless reveal_bit is given)."""
-
-    def __init__(self, reveal_bit: int | None = None):
-        super().__init__()
-        if reveal_bit is not None:
-            reveal_bit = _int_param("reveal_bit", reveal_bit, 0, 1)
-        self.reveal_bit = reveal_bit
-
-    def pick_states(self, params, rng):
-        self.n = params.n
-        cheat, _, _ = bitwise.optimal_bit_cheat(params.theta)
-        return np.tile(cheat.amplitudes, (params.n, 1))
-
-    def claim(self, rng) -> str:
-        bit = self.reveal_bit if self.reveal_bit is not None else int(rng.integers(2))
-        return str(bit) * self.n
+    if reveal_bit is None:
+        bit = int(rng.integers(2))
+    else:
+        bit = _int_param("reveal_bit", reveal_bit, 0, 1)
+    cheat, _, _ = bitwise.optimal_bit_cheat(params.theta)
+    return np.tile(cheat.amplitudes, (params.n, 1)), str(bit) * params.n
 
 
-def _run_bitwise(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
-    send = _send_path(t, alice, bob)
+def _run_bitwise(params_dict: dict, alice, cheating: bool, rng, t: Transcript) -> None:
     params = bitwise.SecurityParams(theta=params_dict["theta"], n=params_dict["n"])
-    states = alice.pick_states(params, rng)
-    send("alice", "commit", {"n": params.n, "states": qmath._read_only(states)})
-    send("bob", "commit_ack", {})
-    claimed = alice.claim(rng)
-    send("alice", "unveil", {"claimed": claimed})
+    states, claimed = alice(params, rng)
+    t.append("alice", "commit", {"n": params.n, "states": qmath._read_only(states)})
+    t.append("bob", "commit_ack", {})
+    t.append("alice", "unveil", {"claimed": claimed})
     failing = bitwise.verify_unveil(states, claimed, params.theta, rng)
-    _send_verdict(send, t, failing)
+    _send_verdict(t, failing)
 
 
-# --- codebook commitment strategies ----------------------------------------
+# --- codebook commitment: (cb, rng) -> (state, index) -----------------------
 
 
-@register_strategy("CodebookCommit", "alice", "honest")
-class _HonestCodebookAlice(SessionStrategy):
-    def pick_state(self, cb, rng):
-        self.index = int(rng.integers(cb.count))
-        return cb.state(self.index)
-
-    def claim(self, rng) -> int:
-        return self.index
+def _honest_codebook(cb, rng, /):
+    index = int(rng.integers(cb.count))
+    return cb.state(index), index
 
 
-@register_strategy("CodebookCommit", "alice", "multistring")
-class _MultistringAlice(SessionStrategy):
-    """Commits the optimal cheat state for r random target strings (the
-    canonical one of codebook.optimal_multistring_cheat: the first target
-    codeword projected onto the top eigenspace of Q, solved on the r x r
-    Gram matrix when r < dim), then reveals a random member of the target
-    set."""
-
-    def __init__(self, r: int = 2):
-        super().__init__()
-        self.r = _int_param("r", r, 1)
-
-    def pick_state(self, cb, rng):
-        if self.r > cb.count:
-            raise DomainError(f"r {self.r} exceeds the codebook count {cb.count}")
-        self.targets = [int(i) for i in rng.choice(cb.count, size=self.r, replace=False)]
-        report = codebook.optimal_multistring_cheat(cb, self.targets)
-        return report.cheat_state.amplitudes
-
-    def claim(self, rng) -> int:
-        return int(self.targets[int(rng.integers(len(self.targets)))])
-
-
-# An honest commitment receiver only observes; the drivers acknowledge and verify.
-register_strategy("BitwiseCommit", "bob", "honest")(SessionStrategy)
-register_strategy("CodebookCommit", "bob", "honest")(SessionStrategy)
+def _multistring(cb, rng, /, *, r=2):
+    """Commits codebook.optimal_multistring_cheat's state for r random
+    target strings, then reveals a random member of the target set."""
+    r = _int_param("r", r, 1)
+    if r > cb.count:
+        raise DomainError(f"r {r} exceeds the codebook count {cb.count}")
+    targets = [int(i) for i in rng.choice(cb.count, size=r, replace=False)]
+    report = codebook.optimal_multistring_cheat(cb, targets)
+    return report.cheat_state.amplitudes, targets[int(rng.integers(r))]
 
 
 def build_codebook(params_dict: dict, seed: int):
@@ -340,89 +247,61 @@ def build_codebook(params_dict: dict, seed: int):
     )
 
 
-def _run_codebook(params_dict: dict, alice, bob, rng, t: Transcript, cb=None) -> None:
-    send = _send_path(t, alice, bob)
+def _run_codebook(
+    params_dict: dict, alice, cheating: bool, rng, t: Transcript, cb=None
+) -> None:
     if cb is None:
         cb = build_codebook(params_dict, t.seed)
-    state = alice.pick_state(cb, rng)
-    send("alice", "commit", {"state": qmath._read_only(state)})
-    send("bob", "commit_ack", {})
-    claimed = alice.claim(rng)
-    send("alice", "unveil", {"index": claimed})
+    state, claimed = alice(cb, rng)
+    t.append("alice", "commit", {"state": qmath._read_only(state)})
+    t.append("bob", "commit_ack", {})
+    t.append("alice", "unveil", {"index": claimed})
     accepted = codebook.verify_unveil(cb, state, claimed, rng)
-    _send_verdict(send, t, None if accepted else claimed)
+    _send_verdict(t, None if accepted else claimed)
 
 
-# --- coin toss strategies ---------------------------------------------------
+# --- coin toss: (params, rng) -> batches -------------------------------------
 
 
-@register_strategy("CoinToss", "alice", "honest")
-class _HonestTossAlice(SessionStrategy):
-    def prepare(self, params, rng) -> np.ndarray:
-        return cointoss.singlet_batches(params)
+def _honest_toss(params, rng, /) -> np.ndarray:
+    return cointoss.singlet_batches(params)
 
 
-@register_strategy("CoinToss", "alice", "tamper")
-class _TamperTossAlice(SessionStrategy):
+def _tamper(params, rng, /, *, fraction=1.0, target_bit=0) -> np.ndarray:
     """Replaces a fraction of each batch with the product state that forces
     her own bit to target_bit."""
-
-    def __init__(self, fraction: float = 1.0, target_bit: int = 0):
-        super().__init__()
-        self.fraction = float(fraction)
-        if not (0.0 <= self.fraction <= 1.0):
-            raise DomainError("fraction must lie in [0, 1]")
-        self.target_bit = _int_param("target_bit", target_bit, 0, 1)
-
-    def prepare(self, params, rng) -> np.ndarray:
-        k = math.ceil(self.fraction * params.N)
-        bad = cointoss.product_pair(self.target_bit, 1 - self.target_bit)
-        batches = cointoss.singlet_batches(params)
-        for batch in batches:
-            batch[rng.choice(params.N, size=k, replace=False)] = bad
-        return batches
+    fraction = float(fraction)
+    if not (0.0 <= fraction <= 1.0):
+        raise DomainError("fraction must lie in [0, 1]")
+    target_bit = _int_param("target_bit", target_bit, 0, 1)
+    k = math.ceil(fraction * params.N)
+    bad = cointoss.product_pair(target_bit, 1 - target_bit)
+    batches = cointoss.singlet_batches(params)
+    for batch in batches:
+        batch[rng.choice(params.N, size=k, replace=False)] = bad
+    return batches
 
 
-@register_strategy("CoinToss", "alice", "tamper_one_batch")
-class _TamperOneBatchAlice(SessionStrategy):
+def _tamper_one_batch(params, rng, /, *, batch_index=0, target_bit=0) -> np.ndarray:
     """Fully tampers a single batch, hoping Bob keeps it untested."""
-
-    def __init__(self, batch_index: int = 0, target_bit: int = 0):
-        super().__init__()
-        self.batch_index = _int_param("batch_index", batch_index, 0)
-        self.target_bit = _int_param("target_bit", target_bit, 0, 1)
-
-    def prepare(self, params, rng) -> np.ndarray:
-        if self.batch_index >= params.M:
-            raise DomainError("batch_index outside [0, M)")
-        batches = cointoss.singlet_batches(params)
-        batches[self.batch_index] = cointoss.product_pair(
-            self.target_bit, 1 - self.target_bit
-        )
-        return batches
+    batch_index = _int_param("batch_index", batch_index, 0)
+    target_bit = _int_param("target_bit", target_bit, 0, 1)
+    if batch_index >= params.M:
+        raise DomainError("batch_index outside [0, M)")
+    batches = cointoss.singlet_batches(params)
+    batches[batch_index] = cointoss.product_pair(target_bit, 1 - target_bit)
+    return batches
 
 
-@register_strategy("CoinToss", "bob", "honest")
-class _HonestTossBob(SessionStrategy):
-    cheating = False
-
-
-@register_strategy("CoinToss", "bob", "best_of_m")
-class _BestOfMTossBob(SessionStrategy):
-    """Measures every batch first and keeps the highest-scoring bit string;
-    skipping the tests is undetectable to Alice."""
-
-    cheating = True
-
-
-def _run_cointoss(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
-    send = _send_path(t, alice, bob)
+def _run_cointoss(params_dict: dict, alice, cheating: bool, rng, t: Transcript) -> None:
+    """A cheating Bob (best_of_m) measures every batch first and keeps the
+    highest-scoring bit string; skipping the tests is undetectable to Alice."""
     params = cointoss.CoinTossParams(M=params_dict["M"], N=params_dict["N"])
-    batches = alice.prepare(params, rng)
+    batches = alice(params, rng)
     states = qmath._read_only(batches)
-    send("alice", "prepare", {"M": params.M, "N": params.N, "states": states})
+    t.append("alice", "prepare", {"M": params.M, "N": params.N, "states": states})
 
-    if bob.cheating:
+    if cheating:
         outcomes = cointoss.measure_z(batches, rng)
         _, kept = cointoss.best_zero_prefix(outcomes & 1)
         measured = cointoss.bit_strings(outcomes[kept])
@@ -430,16 +309,16 @@ def _run_cointoss(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
         measured = None
         kept = int(rng.integers(params.M))
     test = [i for i in range(params.M) if i != kept]
-    send("bob", "choose", {"kept": kept, "test": test})
-    send("alice", "open", {"batches": test})
+    t.append("bob", "choose", {"kept": kept, "test": test})
+    t.append("alice", "open", {"batches": test})
 
     failed = None
-    if not bob.cheating:
+    if not cheating:
         for i in test:
             if not cointoss.singlet_test(batches[i], rng):
                 failed = i
                 break
-    send("bob", "test_result", {"passed": failed is None, "failed_batch": failed})
+    t.append("bob", "test_result", {"passed": failed is None, "failed_batch": failed})
     if failed is not None:
         t.verdict = "CheatDetected"
         return
@@ -447,16 +326,59 @@ def _run_cointoss(params_dict: dict, alice, bob, rng, t: Transcript) -> None:
     if measured is None:
         measured = cointoss.generate_bits(batches[kept], rng)
     a_bits, b_bits = measured
-    send("alice", "alice_bits", {"bits": a_bits})
-    send("bob", "bob_bits", {"bits": b_bits})
+    t.append("alice", "alice_bits", {"bits": a_bits})
+    t.append("bob", "bob_bits", {"bits": b_bits})
     t.verdict = "Completed"
 
 
-_DRIVERS = {
-    "BitwiseCommit": _run_bitwise,
-    "CodebookCommit": _run_codebook,
-    "CoinToss": _run_cointoss,
+# Each protocol's driver, Alice's strategy functions, and Bob's strategies as
+# a `cheating` flag.  An honest commitment receiver only acknowledges.
+_PROTOCOLS = {
+    "BitwiseCommit": {
+        "driver": _run_bitwise,
+        "alice": {"honest": _honest_bitwise, "cheat_state": _cheat_state},
+        "bob": {"honest": False},
+    },
+    "CodebookCommit": {
+        "driver": _run_codebook,
+        "alice": {"honest": _honest_codebook, "multistring": _multistring},
+        "bob": {"honest": False},
+    },
+    "CoinToss": {
+        "driver": _run_cointoss,
+        "alice": {
+            "honest": _honest_toss,
+            "tamper": _tamper,
+            "tamper_one_batch": _tamper_one_batch,
+        },
+        "bob": {"honest": False, "best_of_m": True},
+    },
 }
+# Computed once: inspect.signature costs microseconds per call.
+_SIGNATURES = {
+    fn: inspect.signature(fn)
+    for table in _PROTOCOLS.values()
+    for fn in table["alice"].values()
+}
+
+
+def resolve_strategy(protocol: str, desc: StrategyDescriptor):
+    """Alice's strategy function with desc.parameters bound, or Bob's
+    `cheating` flag; UnknownStrategy for an unknown name or parameter."""
+    strategies = _PROTOCOLS.get(protocol, {}).get(desc.party, {})
+    if desc.name not in strategies:
+        raise UnknownStrategy(f"no {desc.party} strategy {desc.name!r} for {protocol}")
+    strategy = strategies[desc.name]
+    if desc.party == "bob":
+        if desc.parameters:
+            raise UnknownStrategy(f"bob strategy {desc.name!r} takes no parameters")
+        return strategy
+    try:
+        # The two placeholders fill the positional public inputs.
+        _SIGNATURES[strategy].bind(None, None, **desc.parameters)
+    except TypeError as exc:
+        raise UnknownStrategy(f"{desc.party} strategy {desc.name!r}: {exc}") from None
+    return functools.partial(strategy, **desc.parameters)
 
 
 def run_session(
@@ -466,37 +388,27 @@ def run_session(
     bob: StrategyDescriptor,
     seed: int,
     *,
+    rng: np.random.Generator | None = None,
     codebook=None,
 ) -> Transcript:
     """Drive one protocol session to a terminal verdict.
 
     Deterministic: equal inputs give byte-identical serialized transcripts.
+    rng: draw from the caller's generator instead of the session stream of
+    seed, which is then only recorded (and seeds a CodebookCommit codebook
+    whose params carry no codebook_seed).
     codebook: a CodebookCommit session's public codebook, from
     build_codebook(params, seed); the session builds it when absent.
     """
-    rng = rng_stream(seed, "session")
-    return run_session_with_rng(protocol, params, alice, bob, seed, rng, codebook=codebook)
-
-
-def run_session_with_rng(
-    protocol: str,
-    params: dict,
-    alice: StrategyDescriptor,
-    bob: StrategyDescriptor,
-    seed: int,
-    rng: np.random.Generator,
-    *,
-    codebook=None,
-) -> Transcript:
-    """run_session drawing from the caller's rng; seed is only recorded (and
-    seeds a CodebookCommit codebook whose params carry no codebook_seed)."""
-    if protocol not in _DRIVERS:
+    if protocol not in _PROTOCOLS:
         raise UnknownStrategy(f"unknown protocol {protocol!r}")
     if alice.party != "alice" or bob.party != "bob":
         raise ProtocolViolation("descriptors must name an alice and a bob strategy")
-    alice_s = resolve_strategy(protocol, alice)
-    bob_s = resolve_strategy(protocol, bob)
+    alice_fn = resolve_strategy(protocol, alice)
+    cheating = resolve_strategy(protocol, bob)
+    if rng is None:
+        rng = rng_stream(seed, "session")
     t = Transcript(protocol=protocol, params=params, seed=seed)
     shared = {} if codebook is None else {"cb": codebook}
-    _DRIVERS[protocol](params, alice_s, bob_s, rng, t, **shared)
+    _PROTOCOLS[protocol]["driver"](params, alice_fn, cheating, rng, t, **shared)
     return t

@@ -109,7 +109,7 @@ def test_07_honest_coin_toss():
     rng = np.random.default_rng(107)
     zeros = total = 0
     for _ in range(1_000):
-        t = harness.run_session_with_rng("CoinToss", {"M": 4, "N": 16}, alice, bob, 0, rng)
+        t = harness.run_session("CoinToss", {"M": 4, "N": 16}, alice, bob, 0, rng=rng)
         assert t.verdict == "Completed"
         bits = {m.kind: m.payload["bits"] for m in t.messages if m.kind.endswith("_bits")}
         assert all(a != b for a, b in zip(bits["alice_bits"], bits["bob_bits"]))

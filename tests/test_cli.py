@@ -222,6 +222,9 @@ class TestRun:
             (["run", "--protocol", "codebook", "--dim", "257"], "d 257 exceeds the guard 256"),
             (["run", "--protocol", "codebook", "--count", "257"],
              "count 257 exceeds the guard 256"),
+            (["run", "--protocol", "cointoss", "--bob", "best_of_m:x=1"], "takes no parameters"),
+            (["run", "--protocol", "bitwise", "--alice", "honest:rng=1"],
+             "unexpected keyword argument 'rng'"),
         ],
         ids=["trials-0", "unknown-param", "non-number", "fraction-2",
              "advantage-no-pairs", "detection-no-pairs", "reveal-bit-2",
@@ -230,7 +233,7 @@ class TestRun:
              "sweep-M-fraction", "sweep-values-not-numbers", "sweep-unused-variable",
              "dim-0", "dim-negative", "sweep-M-above-pair-guard", "pairs-above-pair-guard",
              "n-above-session-guard", "dim-above-codebook-guard",
-             "count-above-codebook-guard"],
+             "count-above-codebook-guard", "bob-parameter", "alice-positional-name"],
     )
     def test_bad_input_runtime_error(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv, "--seed", "1")
@@ -430,8 +433,9 @@ OPTIONAL = {
 }
 STRATEGY_PARAMS = {
     "alice": (("honest", None), ("cheat_state", "reveal_bit"), ("multistring", "r"),
-              ("tamper", "fraction"), ("tamper_one_batch", "batch_index")),
-    "bob": (("honest", None), ("best_of_m", None)),
+              ("tamper", "fraction"), ("tamper_one_batch", "batch_index"),
+              ("honest", "rng"), ("cheat_state", "params"), ("multistring", "cb")),
+    "bob": (("honest", None), ("best_of_m", None), ("best_of_m", "x")),
 }
 CHOICES = {
     "run": {"--protocol": tuple(cli.PROTOCOL_NAMES), "--construction": ("random", "simplex")},

@@ -17,7 +17,7 @@ from mistrustq.cointoss import (
     zero_prefix_score,
 )
 from mistrustq.errors import DomainError
-from mistrustq.harness import StrategyDescriptor, resolve_strategy, run_session_with_rng
+from mistrustq.harness import StrategyDescriptor, resolve_strategy, run_session
 
 SQ = math.sqrt(0.5)
 
@@ -39,12 +39,12 @@ def tamper_one_batch(batch_index, target_bit):
 
 
 def prepare(alice, params, rng):
-    return resolve_strategy("CoinToss", alice).prepare(params, rng)
+    return resolve_strategy("CoinToss", alice)(params, rng)
 
 
 def toss(params, alice, bob, rng):
     """One session through the harness engine, summarized from its transcript."""
-    t = run_session_with_rng("CoinToss", {"M": params.M, "N": params.N}, alice, bob, 0, rng)
+    t = run_session("CoinToss", {"M": params.M, "N": params.N}, alice, bob, 0, rng=rng)
     payloads = {m.kind: m.payload for m in t.messages}
     return SimpleNamespace(
         verdict=t.verdict,

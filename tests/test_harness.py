@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mistrustq import cli, harness
+from mistrustq import bitwise, cli, codebook, cointoss, harness
 from mistrustq.errors import DeserializeError, ProtocolViolation, UnknownStrategy
 from mistrustq.harness import (
     StrategyDescriptor,
@@ -96,6 +96,8 @@ class TestSerialization:
             deserialize(b"garbage\n" + data.split(b"\n", 1)[1])
         with pytest.raises(DeserializeError):
             deserialize(b"")
+        with pytest.raises(DeserializeError):
+            deserialize(b"\xff\xfe\n{}\n")
 
     def test_float_precision_survives(self):
         t = Transcript(protocol="CoinToss", params={"x": 0.1 + 0.2}, seed=1)
@@ -204,42 +206,33 @@ class TestRunSession:
             t.append("alice", "a", {})
 
 
-class TestStrategyIsolation:
-    def run_with_probes(self, protocol, params):
-        alice = harness.resolve_strategy(protocol, StrategyDescriptor("alice", "honest"))
-        bob = harness.resolve_strategy(protocol, BOB_HONEST)
-        rng = rng_stream(1, "session")
-        t = Transcript(protocol=protocol, params=params, seed=1)
-        harness._DRIVERS[protocol](params, alice, bob, rng, t)
-        return alice, bob
+class TestStrategyInputs:
+    @pytest.mark.parametrize("protocol,params,alice,bob", MATRIX)
+    def test_alice_receives_only_public_inputs(self, monkeypatch, protocol, params, alice, bob):
+        # Alice's function gets the session params or the public codebook and
+        # the session rng, never a message or a payload.
+        calls = []
+        resolve = harness.resolve_strategy
 
-    @pytest.mark.parametrize(
-        "protocol,params",
-        [
-            ("BitwiseCommit", {"theta": 0.3, "n": 2}),
-            ("CoinToss", {"M": 2, "N": 2}),
-            ("CodebookCommit", {"dim": 3, "construction": "simplex"}),
-        ],
-    )
-    def test_each_party_sees_only_peer_messages(self, protocol, params):
-        alice, bob = self.run_with_probes(protocol, params)
-        assert alice.observed and bob.observed
-        assert all(sender == "bob" for sender, _, _ in alice.observed)
-        assert all(sender == "alice" for sender, _, _ in bob.observed)
+        def recording(protocol, desc):
+            strategy = resolve(protocol, desc)
+            if desc.party != "alice":
+                return strategy
 
-    @pytest.mark.parametrize(
-        "protocol,params,kind,key",
-        [
-            ("BitwiseCommit", {"theta": 0.3, "n": 2}, "commit", "states"),
-            ("CodebookCommit", {"dim": 3, "construction": "simplex"}, "commit", "state"),
-            ("CoinToss", {"M": 2, "N": 2}, "prepare", "states"),
-        ],
-        ids=["BitwiseCommit", "CodebookCommit", "CoinToss"],
-    )
-    def test_quantum_payloads_are_opaque(self, protocol, params, kind, key):
-        _, bob = self.run_with_probes(protocol, params)
-        views = [v for _, k, v in bob.observed if k == kind]
-        assert views and views[0][key] == "<quantum>"
+            def wrapped(*args, **kwargs):
+                calls.append((args, kwargs))
+                return strategy(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(harness, "resolve_strategy", recording)
+        run_session(protocol, params, alice, bob, 5)
+        assert len(calls) == 1
+        args, kwargs = calls[0]
+        public = (bitwise.SecurityParams, codebook.Codebook, cointoss.CoinTossParams)
+        assert len(args) == 2 and not kwargs
+        assert isinstance(args[0], public)
+        assert isinstance(args[1], np.random.Generator)
 
 
 def _complex(re, im):
@@ -327,16 +320,17 @@ class TestArrayPayloads:
             with pytest.raises(ValueError):
                 amps[0] = 0
 
-    def test_sender_array_changes_after_append_do_not_reach_transcript(self):
+    def test_sender_array_changes_after_append_do_not_reach_transcript(self, monkeypatch):
         params = {"M": 3, "N": 4}
         expected = serialize(run_session("CoinToss", params, ALICE_HONEST, BOB_HONEST, 8))
-        alice = harness.resolve_strategy("CoinToss", ALICE_HONEST)
         prepared = []
-        prepare = alice.prepare
-        alice.prepare = lambda p, rng: prepared.append(prepare(p, rng)) or prepared[-1]
-        bob = harness.resolve_strategy("CoinToss", BOB_HONEST)
-        t = Transcript(protocol="CoinToss", params=params, seed=8)
-        harness._DRIVERS["CoinToss"](params, alice, bob, rng_stream(8, "session"), t)
+        singlet_batches = cointoss.singlet_batches
+        monkeypatch.setattr(
+            cointoss,
+            "singlet_batches",
+            lambda p: prepared.append(singlet_batches(p)) or prepared[-1],
+        )
+        t = run_session("CoinToss", params, ALICE_HONEST, BOB_HONEST, 8)
         prepared[0][:] = 1.0
         assert serialize(t) == expected
 
