@@ -95,6 +95,12 @@ GOLDEN = [
         id="sweep-codebook_bound",
     ),
     pytest.param(
+        ["sweep", "--metric", "bob_entropy", "--variable", "n", "--values", "1,4,16",
+         "--theta", "0.3", "--seed", "7"],
+        "c0542dc968fcb5145846dae4714d968e1c84d405b666c200b23f35ad19ca56db",
+        id="sweep-bob_entropy",
+    ),
+    pytest.param(
         BITWISE + ["--seed", "51"],
         "178417b5eb9f539bcd7ae0e3b0162c1fe58b51bf134d5d65754eb5d1fc7d5b0d",
         id="run-bitwise-honest-transcripts",
