@@ -138,11 +138,10 @@ def inaccessible_bits(n: int, theta: float, r: int) -> tuple[float, bool]:
 
 
 def min_n_for(r: int, theta: float) -> int:
-    """Smallest n whose entropy gap exceeds r bits."""
+    """Smallest n whose entropy gap exceeds r bits, for theta in (0, pi/2]."""
     if r < 1:
         raise DomainError("r must be >= 1")
-    if not (0.0 < theta < math.pi / 2):
-        raise DomainError(f"theta {theta} outside (0, pi/2)")
+    _check_theta(theta)
     per_qubit = 1.0 - bob_entropy(1, theta)
     if per_qubit <= 0.0:
         raise Unbounded(f"per-qubit gap underflows to 0 at theta {theta}")

@@ -12,7 +12,6 @@ import contextlib
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -102,10 +101,7 @@ def cmd_bounds(args) -> int:
         for n in args.n:
             gap, _ = bitwise.inaccessible_bits(n, theta, 0)
             row[f"gap_n{n}"] = gap
-        if theta < math.pi / 2:
-            row[f"min_n_for_r{args.r}"] = bitwise.min_n_for(args.r, theta)
-        else:
-            row[f"min_n_for_r{args.r}"] = 1
+        row[f"min_n_for_r{args.r}"] = bitwise.min_n_for(args.r, theta)
         for r2 in args.r2:
             row[f"codebook_bound_r{r2}"] = codebook.cheat_bound(r2, args.epsilon)
         rows.append(row)
@@ -178,126 +174,84 @@ def cmd_run(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    variable: str
-    values: list
-    metric: str
-    trials: int
-    seed: int
-    fixed: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.values:
-            raise InvalidSpec("values must be nonempty")
-        if self.trials < 1:
-            raise InvalidSpec("trials must be >= 1")
-        if self.variable in self.fixed:
-            raise InvalidSpec(f"variable {self.variable!r} also appears in fixed")
-        if self.variable in ("M", "N", "n", "r"):
-            if not all(float(v).is_integer() for v in self.values):
-                raise InvalidSpec(f"{self.variable} takes integers, got {self.values}")
-            object.__setattr__(self, "values", [int(v) for v in self.values])
+def _advantage(p: dict, rng, trials: int, seed: int) -> tuple[float, float]:
+    params = cointoss.CoinTossParams(M=p["M"], N=p["N"])
+    scores = [cointoss.bob_best_of_M(params, rng)[0] for _ in range(trials)]
+    return float(np.mean(scores)), float(np.std(scores) / math.sqrt(trials))
 
 
-# The parameters each sweep metric reads; a sweep must vary one of them.
-METRIC_PARAMS = {
-    "cheat_bound": ("theta",),
-    "bob_entropy": ("n", "theta"),
-    "codebook_bound": ("r", "epsilon"),
-    "advantage": ("M", "N"),
-    "detection": ("M", "N", "tamper_fraction"),
+def _detection(p: dict, rng, trials: int, seed: int) -> tuple[float, float]:
+    params = {"M": p["M"], "N": p["N"]}
+    alice = StrategyDescriptor(
+        "alice", "tamper", {"fraction": p["tamper_fraction"], "target_bit": 0}
+    )
+    bob = StrategyDescriptor("bob", "honest")
+    hits = [
+        run_session("CoinToss", params, alice, bob, seed, rng=rng).verdict == "CheatDetected"
+        for _ in range(trials)
+    ]
+    mean = float(np.mean(hits))
+    return mean, math.sqrt(mean * (1 - mean) / trials)
+
+
+# Each sweep parameter: its flag and its type.  A sweep over an int parameter
+# (M, N, n, r) takes integer values only.
+SWEEP_FLAGS = {
+    "theta": ("--theta", float),
+    "n": ("--n", int),
+    "r": ("--r", int),
+    "epsilon": ("--epsilon", float),
+    "M": ("--batches", int),
+    "N": ("--pairs", int),
+    "tamper_fraction": ("--tamper-fraction", float),
 }
-# Sweep parameters whose flag is not --<name>.
-_SWEEP_FLAGS = {"M": "--batches", "N": "--pairs", "tamper_fraction": "--tamper-fraction"}
-
-
-class _SweepParams(dict):
-    def __missing__(self, key):
-        raise InvalidSpec(f"this sweep needs {_SWEEP_FLAGS.get(key, '--' + key)}")
-
-
-def _sweep_point(spec: SweepSpec, value) -> tuple[float, float]:
-    """(mean, stderr) of the metric at one sweep value."""
-    p = _SweepParams(spec.fixed)
-    p[spec.variable] = value
-    if spec.metric == "cheat_bound":
-        return bitwise.cheat_bound(p["theta"]), 0.0
-    if spec.metric == "bob_entropy":
-        return bitwise.bob_entropy(int(p["n"]), p["theta"]), 0.0
-    if spec.metric == "codebook_bound":
-        return codebook.cheat_bound(p["r"], p["epsilon"]), 0.0
-    rng = rng_stream(spec.seed, f"sweep:{spec.variable}={value}")
-    if spec.metric == "advantage":
-        params = cointoss.CoinTossParams(M=int(p["M"]), N=int(p["N"]))
-        scores = [cointoss.bob_best_of_M(params, rng)[0] for _ in range(spec.trials)]
-        return float(np.mean(scores)), float(np.std(scores) / math.sqrt(len(scores)))
-    if spec.metric == "detection":
-        params = {"M": int(p["M"]), "N": int(p["N"])}
-        alice = StrategyDescriptor(
-            "alice", "tamper", {"fraction": float(p["tamper_fraction"]), "target_bit": 0}
-        )
-        bob = StrategyDescriptor("bob", "honest")
-        hits = [
-            run_session("CoinToss", params, alice, bob, spec.seed, rng=rng).verdict
-            == "CheatDetected"
-            for _ in range(spec.trials)
-        ]
-        mean = float(np.mean(hits))
-        return mean, math.sqrt(mean * (1 - mean) / len(hits))
-    raise InvalidSpec(f"unknown metric {spec.metric!r}")
-
-
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One row per value; InvalidSpec for a variable the metric does not
-    read, whose rows would all be the same."""
-    reads = METRIC_PARAMS.get(spec.metric)
-    if reads is not None and spec.variable not in reads:
-        raise InvalidSpec(
-            f"metric {spec.metric} does not read {spec.variable!r}; "
-            f"it reads {', '.join(reads)}"
-        )
-    rows = []
-    for value in spec.values:
-        mean, stderr = _sweep_point(spec, value)
-        rows.append(
-            {
-                spec.variable: value,
-                "trials": spec.trials,
-                "mean": mean,
-                "stderr": stderr,
-            }
-        )
-    return rows
+# Each sweep metric: the parameters it reads, all required, and
+# (params, rng, trials, seed) -> (mean, stderr) at one sweep value.
+SWEEP_METRICS = {
+    "cheat_bound": (("theta",), lambda p, *_: (bitwise.cheat_bound(p["theta"]), 0.0)),
+    "bob_entropy": (
+        ("n", "theta"),
+        lambda p, *_: (bitwise.bob_entropy(p["n"], p["theta"]), 0.0),
+    ),
+    "codebook_bound": (
+        ("r", "epsilon"),
+        lambda p, *_: (codebook.cheat_bound(p["r"], p["epsilon"]), 0.0),
+    ),
+    "advantage": (("M", "N"), _advantage),
+    "detection": (("M", "N", "tamper_fraction"), _detection),
+}
 
 
 def cmd_sweep(args) -> int:
-    fixed = {}
-    for key, val in (
-        ("theta", args.theta),
-        ("n", args.n),
-        ("r", args.r),
-        ("epsilon", args.epsilon),
-        ("M", args.batches),
-        ("N", args.pairs),
-        ("tamper_fraction", args.tamper_fraction),
-    ):
-        if val is not None:
-            fixed[key] = val
+    """One row per value; InvalidSpec for a variable the metric does not
+    read, whose rows would all be the same."""
+    variable = args.variable
+    reads, compute = SWEEP_METRICS[args.metric]
     try:
         values = _floats(args.values)
     except ValueError:
         raise InvalidSpec(f"--values {args.values!r} is not a number list") from None
-    fixed.pop(args.variable, None)
-    spec = SweepSpec(
-        variable=args.variable,
-        values=values,
-        metric=args.metric,
-        trials=args.trials,
-        seed=args.seed,
-        fixed=fixed,
-    )
-    _write_rows(run_sweep(spec), args.format, args.out)
+    if args.trials < 1:
+        raise InvalidSpec("trials must be >= 1")
+    if variable in SWEEP_FLAGS and SWEEP_FLAGS[variable][1] is int:
+        if not all(v.is_integer() for v in values):
+            raise InvalidSpec(f"{variable} takes integers, got {values}")
+        values = [int(v) for v in values]
+    if variable not in reads:
+        raise InvalidSpec(
+            f"metric {args.metric} does not read {variable!r}; it reads {', '.join(reads)}"
+        )
+    p = {key: getattr(args, key) for key in reads}
+    for key in reads:
+        if key != variable and p[key] is None:
+            raise InvalidSpec(f"this sweep needs {SWEEP_FLAGS[key][0]}")
+    rows = []
+    for value in values:
+        p[variable] = value
+        rng = rng_stream(args.seed, f"sweep:{variable}={value}")
+        mean, stderr = compute(p, rng, args.trials, args.seed)
+        rows.append({variable: value, "trials": args.trials, "mean": mean, "stderr": stderr})
+    _write_rows(rows, args.format, args.out)
     return 0
 
 
@@ -339,17 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_run)
 
     s = sub.add_parser("sweep", help="sweep one parameter and aggregate a metric")
-    s.add_argument("--metric", required=True, choices=tuple(METRIC_PARAMS))
+    s.add_argument("--metric", required=True, choices=tuple(SWEEP_METRICS))
     s.add_argument("--variable", required=True)
     s.add_argument("--values", required=True, help="comma list")
     s.add_argument("--trials", type=int, default=1)
-    s.add_argument("--theta", type=float)
-    s.add_argument("--n", type=int)
-    s.add_argument("--r", type=int)
-    s.add_argument("--epsilon", type=float)
-    s.add_argument("--batches", type=int, dest="batches", help="M")
-    s.add_argument("--pairs", type=int, dest="pairs", help="N")
-    s.add_argument("--tamper-fraction", type=float, dest="tamper_fraction")
+    for key, (flag, kind) in SWEEP_FLAGS.items():
+        s.add_argument(flag, type=kind, dest=key)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--out")

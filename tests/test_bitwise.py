@@ -228,6 +228,11 @@ class TestInaccessibleBits:
     def test_min_n_monotone_in_r(self):
         assert bitwise.min_n_for(1, 0.5) <= bitwise.min_n_for(3, 0.5)
 
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_min_n_at_right_angle(self, r):
+        # Each qubit's gap is exactly 1 at a right angle, so r bits need r + 1.
+        assert bitwise.min_n_for(r, math.pi / 2) == r + 1
+
     def test_unbounded_at_tiny_theta(self):
         with pytest.raises(Unbounded):
             bitwise.min_n_for(1, 1e-12)

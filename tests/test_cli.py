@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mistrustq import bitwise, cli, codebook, cointoss, qmath
-from mistrustq.cli import SweepSpec, main, run_sweep
-from mistrustq.errors import InvalidSpec
+from mistrustq.cli import main
 from mistrustq.harness import StrategyDescriptor, run_session, serialize
 
 
@@ -48,6 +47,8 @@ class TestBounds:
         assert float(row["h2"]) == pytest.approx(0, abs=1e-12)
         assert float(row["gap_n4"]) == pytest.approx(4)
         assert float(row["codebook_bound_r1"]) == 1.0
+        # Each qubit's gap is 1 at a right angle, so 2 qubits exceed r = 1.
+        assert row["min_n_for_r1"] == "2"
 
     def test_row_count_matches_grid(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--theta", "0.1,0.3,0.6")
@@ -222,6 +223,8 @@ class TestRun:
             (["run", "--protocol", "codebook", "--dim", "257"], "d 257 exceeds the guard 256"),
             (["run", "--protocol", "codebook", "--count", "257"],
              "count 257 exceeds the guard 256"),
+            (["run", "--protocol", "codebook", "--construction", "simplex", "--dim", "1025"],
+             "d 1025 exceeds the guard 1024"),
             (["run", "--protocol", "cointoss", "--bob", "best_of_m:x=1"], "takes no parameters"),
             (["run", "--protocol", "bitwise", "--alice", "honest:rng=1"],
              "unexpected keyword argument 'rng'"),
@@ -233,7 +236,8 @@ class TestRun:
              "sweep-M-fraction", "sweep-values-not-numbers", "sweep-unused-variable",
              "dim-0", "dim-negative", "sweep-M-above-pair-guard", "pairs-above-pair-guard",
              "n-above-session-guard", "dim-above-codebook-guard",
-             "count-above-codebook-guard", "bob-parameter", "alice-positional-name"],
+             "count-above-codebook-guard", "bob-parameter", "alice-positional-name",
+             "simplex-dim-above-guard"],
     )
     def test_bad_input_runtime_error(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv, "--seed", "1")
@@ -350,28 +354,33 @@ class TestSweep:
         assert code == 1
         assert "values" in err
 
-    @pytest.mark.parametrize("variable", ["M", "N", "n", "r"])
-    def test_integer_variables(self, variable):
-        with pytest.raises(InvalidSpec, match="integers"):
-            SweepSpec(variable=variable, values=[2, 2.5], metric="advantage", trials=1,
-                      seed=1)
-        spec = SweepSpec(variable=variable, values=[2.0, 4.0], metric="advantage",
-                         trials=1, seed=1)
-        assert spec.values == [2, 4]
-        assert all(type(v) is int for v in spec.values)
+    @pytest.mark.parametrize(
+        "metric,variable,fixed",
+        [
+            ("advantage", "M", ["--pairs", "2"]),
+            ("advantage", "N", ["--batches", "2"]),
+            ("bob_entropy", "n", ["--theta", "0.3"]),
+            ("codebook_bound", "r", ["--epsilon", "0.25"]),
+        ],
+        ids=["M", "N", "n", "r"],
+    )
+    def test_integer_variables(self, capsys, metric, variable, fixed):
+        argv = ["sweep", "--metric", metric, "--variable", variable, *fixed, "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv, "--values", "2,2.5")
+        assert code == 1
+        assert out == "" and "integers" in err
+        code, out, _ = run_cli(capsys, *argv, "--values", "2.0,4.0")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == [variable, "2", "4"]
 
-    def test_spec_invariants(self):
-        with pytest.raises(InvalidSpec):
-            SweepSpec(variable="M", values=[2], metric="advantage", trials=0, seed=1)
-        with pytest.raises(InvalidSpec):
-            SweepSpec(
-                variable="M", values=[2], metric="advantage", trials=1, seed=1,
-                fixed={"M": 4},
-            )
-        with pytest.raises(InvalidSpec):
-            run_sweep(
-                SweepSpec(variable="x", values=[1], metric="nope", trials=1, seed=1)
-            )
+    def test_spec_invariants(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--metric", "advantage", "--variable", "M", "--values", "2",
+            "--pairs", "2", "--trials", "0", "--seed", "1",
+        )
+        assert code == 1
+        assert out == "" and err == "error: trials must be >= 1\n"
 
 
 class TestDeterminism:
@@ -415,12 +424,12 @@ class TestDeterminism:
 # anything is allocated.
 EDGE = ("0", "-1", "nan", "inf", "-inf", "1e30", "0.5", "2.5", "1", "2", "16")
 ABOVE_GUARD = {
-    "--n": bitwise.MAX_SESSION_N + 1,
-    "--dim": codebook.MAX_CODEBOOK_DIM + 1,
-    "--count": codebook.MAX_CODEBOOK_COUNT + 1,
-    "--batches": cointoss.MAX_PAIRS + 1,
-    "--pairs": cointoss.MAX_PAIRS + 1,
-    "--values": cointoss.MAX_PAIRS + 1,
+    "--n": (bitwise.MAX_SESSION_N + 1,),
+    "--dim": (codebook.MAX_CODEBOOK_DIM + 1, codebook.MAX_SIMPLEX_DIM + 1),
+    "--count": (codebook.MAX_CODEBOOK_COUNT + 1,),
+    "--batches": (cointoss.MAX_PAIRS + 1,),
+    "--pairs": (cointoss.MAX_PAIRS + 1,),
+    "--values": (cointoss.MAX_PAIRS + 1,),
 }
 LIST_FLAGS = {"bounds": ("--theta", "--n", "--r2"), "run": (), "sweep": ("--values",)}
 REQUIRED = {"bounds": ("--theta",), "run": (), "sweep": ("--values",)}
@@ -428,8 +437,7 @@ OPTIONAL = {
     "bounds": ("--n", "--r", "--epsilon", "--r2"),
     "run": ("--theta", "--n", "--dim", "--count", "--epsilon", "--batches", "--pairs",
             "--trials"),
-    "sweep": ("--trials", "--theta", "--n", "--r", "--epsilon", "--batches", "--pairs",
-              "--tamper-fraction"),
+    "sweep": ("--trials",) + tuple(flag for flag, _ in cli.SWEEP_FLAGS.values()),
 }
 STRATEGY_PARAMS = {
     "alice": (("honest", None), ("cheat_state", "reveal_bit"), ("multistring", "r"),
@@ -439,8 +447,7 @@ STRATEGY_PARAMS = {
 }
 CHOICES = {
     "run": {"--protocol": tuple(cli.PROTOCOL_NAMES), "--construction": ("random", "simplex")},
-    "sweep": {"--metric": tuple(cli.METRIC_PARAMS),
-              "--variable": ("theta", "n", "r", "epsilon", "M", "N", "tamper_fraction")},
+    "sweep": {"--metric": tuple(cli.SWEEP_METRICS), "--variable": tuple(cli.SWEEP_FLAGS)},
 }
 
 
@@ -452,7 +459,7 @@ def edge_argv(draw):
         argv += [flag, draw(st.sampled_from(options))]
     optional = draw(st.lists(st.sampled_from(OPTIONAL[command]), unique=True, max_size=4))
     for flag in REQUIRED[command] + tuple(optional):
-        values = EDGE + ((str(ABOVE_GUARD[flag]),) if flag in ABOVE_GUARD else ())
+        values = EDGE + tuple(str(v) for v in ABOVE_GUARD.get(flag, ()))
         size = 2 if flag in LIST_FLAGS[command] else 1
         argv += [flag, ",".join(draw(st.lists(st.sampled_from(values), min_size=1,
                                               max_size=size)))]
