@@ -11,6 +11,7 @@ and the Helstrom basis is rotated by theta / 2 from the computational one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,26 +130,45 @@ def bob_entropy(n: int, theta: float) -> float:
     return n * qmath.binary_entropy((1.0 + math.sin(theta)) / 2.0)
 
 
+def _qubit_gap(theta: float) -> float:
+    """Per-qubit entropy gap 1 - H2((1 + sin theta) / 2), in bits.
+
+    Written as (2x atanh(x) + log1p(-x^2)) / (2 ln 2) with x = sin(theta),
+    which does not cancel as theta -> 0, where the gap is about x^2 / (2 ln 2).
+    """
+    _check_theta(theta)
+    x = math.sin(theta)
+    if x == 1.0:
+        return 1.0
+    return (2.0 * x * math.atanh(x) + math.log1p(-x * x)) / (2.0 * math.log(2.0))
+
+
 def inaccessible_bits(n: int, theta: float, r: int) -> tuple[float, bool]:
     """Gap n - S(rho) and whether it exceeds the required r bits."""
     if r < 0:
         raise DomainError("r must be >= 0")
-    gap = n - bob_entropy(n, theta)
+    per_qubit = _qubit_gap(theta)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    gap = n * per_qubit
     return gap, gap > r
 
 
 def min_n_for(r: int, theta: float) -> int:
-    """Smallest n whose entropy gap exceeds r bits, for theta in (0, pi/2]."""
+    """Smallest n whose entropy gap exceeds r bits, for theta in (0, pi/2].
+
+    Exact for the float per-qubit gap g = num / den: floor(r / g) + 1 is
+    r * den // num + 1 in integer arithmetic, which also keeps answers above
+    2**53 exact.  Unbounded where g is below the smallest normal float
+    (theta below about 1.76e-154).
+    """
     if r < 1:
         raise DomainError("r must be >= 1")
-    _check_theta(theta)
-    per_qubit = 1.0 - bob_entropy(1, theta)
-    if per_qubit <= 0.0:
-        raise Unbounded(f"per-qubit gap underflows to 0 at theta {theta}")
-    n = max(1, math.floor(r / per_qubit))
-    while n * per_qubit <= r:
-        n += 1
-    return n
+    per_qubit = _qubit_gap(theta)
+    if per_qubit < sys.float_info.min:
+        raise Unbounded(f"per-qubit gap {per_qubit} is not a normal float at theta {theta}")
+    num, den = per_qubit.as_integer_ratio()
+    return r * den // num + 1
 
 
 def helstrom_measurement(theta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -36,16 +36,23 @@ JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 # Size guards, one per spectral path, set from measured cost (random
 # Hermitian input, one thread): Jacobi with eigenvectors takes 0.6-1.1 s at
-# n = 128 and 3.5-6.4 s at n = 256.  The eigenvalues-only path takes 3.7-3.9 s
-# at n = 1024 for complex input, most of it in the Householder reduction, and
-# 1.6-2.5 s for real input such as bitwise.bob_ensemble at its n guard
-# (dim 1024).
+# n = 128 and 3.5-6.4 s at n = 256.  The eigenvalues-only path takes 2.6-2.8 s
+# at n = 1024 for complex input, 2.1 s of it in the Householder reduction, and
+# 1.0-1.15 s for bitwise.bob_ensemble(10, theta) (dim 1024, theta = 0.1 and
+# 1.0), nearly all of it in the reduction.
 MAX_JACOBI_DIM = 256
 MAX_EIGENVALUES_DIM = 1024
 # Each multisection sweep splits every live interval at this many interior
 # points (4 bits); 16 sweeps are 64 halvings' worth.
 MULTISECT_POINTS = 15
 MULTISECT_MAX_SWEEPS = 16
+# Rows per block of the unguarded Sturm recurrence: a block holds
+# STURM_BLOCK * m floats for m points (m <= MULTISECT_POINTS * n).  At dim
+# 1024, blocks of 16, 32, 64 and 128 rows took 550, 542, 524 and 555 ms per
+# _sturm_bisect on random complex input and 80, 67, 67 and 67 ms on
+# bob_ensemble(10, 1.0), with tracemalloc peaks of 4.6, 8.6, 16.4 and 32.2 MB:
+# 32 is within noise of the fastest at half the memory of 64.
+STURM_BLOCK = 32
 
 
 def _read_only(a) -> np.ndarray:
@@ -83,8 +90,8 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise DimMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
         object.__setattr__(self, "entries", _read_only(m))
         dev = np.abs(m - m.conj().T).max()
         if dev > HERMITIAN_TOL:
@@ -219,16 +226,45 @@ def _tridiagonalize(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S.diagonal().real.copy(), e
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, x: np.ndarray):
-    """Sturm count at each point of x: the number of negative pivots of
-    T - x I, which is the number of eigenvalues of T below x.  Pivots smaller
-    than pivmin are replaced by -pivmin so no division is by zero."""
+def _sturm_counts_guarded(d: np.ndarray, e2: np.ndarray, pivmin: float, x: np.ndarray):
+    """Sturm counts as in LAPACK's dstebz: pivots smaller than pivmin are
+    replaced by -pivmin so no division is by zero."""
     count = np.zeros(x.shape, dtype=np.intp)
     q = np.ones(x.shape)
     for di, e2i in zip(d.tolist(), e2.tolist()):
         q = di - x - e2i / q
         q[np.abs(q) < pivmin] = -pivmin
         count += q < 0
+    return count
+
+
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, pivmin: float, x: np.ndarray):
+    """Sturm count at each point of x: the number of negative pivots of
+    T - x I, which is the number of eigenvalues of T below x.
+
+    The dlaneg scheme (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28(5),
+    2006): run the pivot recurrence with no per-row check, STURM_BLOCK rows
+    at a time, then recount with _sturm_counts_guarded only the points where
+    some pivot had |q| < pivmin or was NaN, which is where a pivot is neither
+    <= -pivmin nor >= pivmin.  Everywhere else both recurrences do the same
+    arithmetic, so the counts are the guarded ones.
+    """
+    count = np.zeros(x.shape, dtype=np.intp)  # pivots <= -pivmin
+    positive = np.zeros(x.shape, dtype=np.intp)  # pivots >= pivmin
+    q, t = np.ones(x.shape), np.empty(x.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, d.size, STURM_BLOCK):
+            block = np.subtract.outer(d[start:start + STURM_BLOCK], x)
+            for row, e2i in zip(block, e2[start:start + STURM_BLOCK].tolist()):
+                np.divide(e2i, q, out=t)
+                np.subtract(row, t, out=row)
+                q = row
+            # uint8 sums: STURM_BLOCK is below 256.
+            count += (block <= -pivmin).sum(axis=0, dtype=np.uint8)
+            positive += (block >= pivmin).sum(axis=0, dtype=np.uint8)
+    redo = count + positive < d.size
+    if redo.any():
+        count[redo] = _sturm_counts_guarded(d, e2, pivmin, x[redo])
     return count
 
 

@@ -1,4 +1,6 @@
+import functools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -234,8 +236,50 @@ class TestInaccessibleBits:
         assert bitwise.min_n_for(r, math.pi / 2) == r + 1
 
     def test_unbounded_at_tiny_theta(self):
+        # The per-qubit gap at 1e-200 (about 7e-401) is not a normal float.
         with pytest.raises(Unbounded):
-            bitwise.min_n_for(1, 1e-12)
+            bitwise.min_n_for(1, 1e-200)
+
+    def test_finite_at_small_theta(self):
+        assert bitwise.min_n_for(1, 1e-12) == 1386294361119890628001722
+
+
+@functools.cache
+def decimal_gap(theta: float) -> Decimal:
+    """1 - H2((1 + x) / 2) for x = sin(theta) converted exactly, evaluated
+    directly at 400 digits: the subtraction cancels about 2 |log10 x| digits,
+    which leaves more than 80 at x = 1e-150."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        x = Decimal(math.sin(theta))
+        h = Decimal(0)
+        for p in ((1 + x) / 2, (1 - x) / 2):
+            h -= p * p.ln()
+        return 1 - h / Decimal(2).ln()
+
+
+GAP_THETAS = [1.0, 0.5, 0.3, math.asin(0.1)] + [10.0**-k for k in range(2, 151, 8)] + [1e-150]
+
+
+class TestGapOracle:
+    """The per-qubit gap and min_n_for against a high-precision evaluation
+    of 1 - H2 that shares no code with bitwise."""
+
+    @pytest.mark.parametrize("theta", GAP_THETAS)
+    def test_gap_relative_error(self, theta):
+        gap, _ = bitwise.inaccessible_bits(1, theta, 0)
+        ref = decimal_gap(theta)
+        assert abs(Decimal(gap) - ref) <= Decimal("1e-14") * ref
+
+    @pytest.mark.parametrize("theta", GAP_THETAS)
+    @pytest.mark.parametrize("r", [1, 7, 10**18])
+    def test_min_n_for(self, theta, r):
+        # n is the smallest with n * g > r, up to the last-bit rounding of g.
+        n, ref = bitwise.min_n_for(r, theta), decimal_gap(theta)
+        with localcontext() as ctx:
+            ctx.prec = 400
+            assert n * ref * (1 + Decimal("1e-14")) > r
+            assert (n - 1) * ref * (1 - Decimal("1e-14")) <= r
 
 
 class TestHelstrom:

@@ -421,7 +421,7 @@ class TestDeterminism:
 
 # Edge values for every numeric flag; sizes that pass stay at 16 or below, and
 # the only larger ones are one above a size guard, which rejects them before
-# anything is allocated.
+# anything is allocated, or --r's 10**18, which only closed forms read.
 EDGE = ("0", "-1", "nan", "inf", "-inf", "1e30", "0.5", "2.5", "1", "2", "16")
 ABOVE_GUARD = {
     "--n": (bitwise.MAX_SESSION_N + 1,),
@@ -430,6 +430,12 @@ ABOVE_GUARD = {
     "--batches": (cointoss.MAX_PAIRS + 1,),
     "--pairs": (cointoss.MAX_PAIRS + 1,),
     "--values": (cointoss.MAX_PAIRS + 1,),
+}
+# The large-N regime: angles whose per-qubit gap is tiny, subnormal or 0, and
+# an r far above 2**53.  Only these two flags draw them.
+LARGE_N = {
+    "--theta": ("1e-8", "1e-300", "5e-324"),
+    "--r": (10**18,),
 }
 LIST_FLAGS = {"bounds": ("--theta", "--n", "--r2"), "run": (), "sweep": ("--values",)}
 REQUIRED = {"bounds": ("--theta",), "run": (), "sweep": ("--values",)}
@@ -459,7 +465,7 @@ def edge_argv(draw):
         argv += [flag, draw(st.sampled_from(options))]
     optional = draw(st.lists(st.sampled_from(OPTIONAL[command]), unique=True, max_size=4))
     for flag in REQUIRED[command] + tuple(optional):
-        values = EDGE + tuple(str(v) for v in ABOVE_GUARD.get(flag, ()))
+        values = EDGE + tuple(str(v) for v in ABOVE_GUARD.get(flag, ()) + LARGE_N.get(flag, ()))
         size = 2 if flag in LIST_FLAGS[command] else 1
         argv += [flag, ",".join(draw(st.lists(st.sampled_from(values), min_size=1,
                                               max_size=size)))]

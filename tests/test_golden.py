@@ -27,7 +27,7 @@ CODEBOOK = ["run", "--protocol", "codebook", "--trials", "20",
 GOLDEN = [
     pytest.param(
         ["bounds", "--theta", "0.05,0.3,1.0", "--n", "2,8", "--r", "2", "--r2", "2,8"],
-        "c407c27d7cfa116d04d86faa6dd002e3d7347c5e725f2d269d1bba4decec3012",
+        "31f3347dd894179a0406b813b52e365bd53209411117fc40821043eb4e3cce87",
         id="bounds",
     ),
     pytest.param(

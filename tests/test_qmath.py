@@ -178,10 +178,78 @@ class TestHermitianEigenvalues:
         w = self.check(bitwise.bob_ensemble(n, theta).entries)
         np.testing.assert_allclose(w, expected, atol=1e-14)
 
+    def test_rejects_empty(self):
+        with pytest.raises(DimMismatch):
+            HermitianOperator(np.zeros((0, 0)))
+
     def test_size_guard(self):
         n = qmath.MAX_EIGENVALUES_DIM + 1
         with pytest.raises(TooLarge):
             hermitian_eigenvalues(HermitianOperator(np.zeros((n, n))))
+
+
+def scalar_sturm_count(d, e2, pivmin, x):
+    """LAPACK dstebz's Sturm count at one point, in Python floats: the
+    number of negative pivots of T - x I, where a pivot smaller than pivmin
+    in magnitude is replaced by -pivmin.  e2[i] couples rows i - 1 and i."""
+    count, q = 0, 1.0
+    for di, e2i in zip(d, e2):
+        q = di - x - e2i / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0
+    return count
+
+
+class TestSturmCounts:
+    """qmath._sturm_counts against the scalar recurrence, which it must match
+    count for count, across the STURM_BLOCK row edge and where pivots vanish."""
+
+    def check(self, d, e, x):
+        d, x = np.asarray(d, dtype=float), np.asarray(x, dtype=float)
+        e2 = np.concatenate(([0.0], np.asarray(e, dtype=float) ** 2))
+        pivmin = np.finfo(float).tiny * max(1.0, e2.max())
+        counts = qmath._sturm_counts(d, e2, pivmin, x)
+        expected = [scalar_sturm_count(d.tolist(), e2.tolist(), pivmin, float(xi))
+                    for xi in x.ravel()]
+        assert counts.shape == x.shape
+        assert counts.ravel().tolist() == expected
+        return counts
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+    def test_random_tridiagonal(self, n):
+        rng = np.random.default_rng(n)
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        radius = np.zeros(n)
+        radius[:-1] += np.abs(e)
+        radius[1:] += np.abs(e)
+        lo, hi = (d - radius).min(), (d + radius).max()
+        x = np.concatenate((rng.uniform(lo, hi, 28), [lo, hi])).reshape(5, 6)
+        counts = self.check(d, e, x)
+        assert counts.min() >= 0 and counts.max() <= n
+
+    def test_zero_pivot(self):
+        # At x = 0 the second pivot is +0: unguarded, the next one is 0/0.
+        counts = self.check([-1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [-0.5, 0, 0.5, 1, 2])
+        assert counts.tolist() == [1, 3, 3, 4, 4]
+
+    def test_recounts_only_tiny_pivots(self, monkeypatch):
+        # Row 35, in the second block of rows, is a decoupled 1 x 1 block with
+        # d = 0 (e[34] = e[35] = 0): only x = 0 meets a zero pivot.
+        rng = np.random.default_rng(7)
+        d, e = rng.standard_normal(40), rng.standard_normal(39)
+        d[35], e[34], e[35] = 0.0, 0.0, 0.0
+        x = np.array([[-0.7, 0.0, 0.3], [0.0, 2.5, -3.0]])
+        recounted = []
+        guarded = qmath._sturm_counts_guarded
+
+        def spy(d, e2, pivmin, points):
+            recounted.append(points.copy())
+            return guarded(d, e2, pivmin, points)
+
+        monkeypatch.setattr(qmath, "_sturm_counts_guarded", spy)
+        self.check(d, e, x)
+        assert len(recounted) == 1 and recounted[0].tolist() == [0.0, 0.0]
 
 
 class TestEntropy:
@@ -245,6 +313,10 @@ class TestDensityMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(DimMismatch):
             DensityMatrix(np.ones((2, 3)) / 2)
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimMismatch):
+            DensityMatrix(np.zeros((0, 0)))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises((DomainError, DimMismatch)):
