@@ -125,8 +125,8 @@ def bob_ensemble(n: int, theta: float) -> DensityMatrix:
 def bob_entropy(n: int, theta: float) -> float:
     """Entropy ceiling on the receiver's accessible information, in bits."""
     _check_theta(theta)
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not 1 <= n <= sys.float_info.max:
+        raise DomainError(f"n must be >= 1 and at most the float maximum, got {n}")
     return n * qmath.binary_entropy((1.0 + math.sin(theta)) / 2.0)
 
 
@@ -148,8 +148,8 @@ def inaccessible_bits(n: int, theta: float, r: int) -> tuple[float, bool]:
     if r < 0:
         raise DomainError("r must be >= 0")
     per_qubit = _qubit_gap(theta)
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not 1 <= n <= sys.float_info.max:
+        raise DomainError(f"n must be >= 1 and at most the float maximum, got {n}")
     gap = n * per_qubit
     return gap, gap > r
 

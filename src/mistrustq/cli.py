@@ -19,9 +19,10 @@ import numpy as np
 from . import bitwise, codebook, cointoss
 from .errors import InvalidSpec, SimulationError
 from .harness import (
+    PROTOCOLS,
     StrategyDescriptor,
-    build_codebook,
     format_value,
+    resolve_strategy,
     rng_stream,
     run_session,
     serialize,
@@ -126,6 +127,7 @@ def _session_params(args) -> dict:
 
 
 def cmd_run(args) -> int:
+    """Verdict counts, then the protocol's tally rows as ratios of sums, by key."""
     if args.trials < 1:
         raise InvalidSpec("trials must be >= 1")
     protocol = PROTOCOL_NAMES[args.protocol]
@@ -134,42 +136,24 @@ def cmd_run(args) -> int:
     bob = _parse_strategy("bob", args.bob)
     if args.transcripts_dir:
         Path(args.transcripts_dir).mkdir(parents=True, exist_ok=True)
-    # The codebook is public: one build serves every trial of the run.
-    cb = build_codebook(params, args.seed) if protocol == "CodebookCommit" else None
+    # The public input is checked, and a codebook built, once for every trial.
+    public = PROTOCOLS[protocol]["public"](params, args.seed)
 
     verdicts: dict[str, int] = {}
-    accept_by_claim = {"0": [0, 0], "1": [0, 0]}  # claim bit -> [accepted, total]
-    bit_counts = [0, 0]
-    advantages = []
+    sums: dict[str, tuple] = {}  # row key -> (numerator, denominator)
     for trial in range(args.trials):
         seed = _trial_seed(args.seed, trial)
-        t = run_session(protocol, params, alice, bob, seed, codebook=cb)
+        t = run_session(protocol, params, alice, bob, seed, public=public)
         verdicts[t.verdict] = verdicts.get(t.verdict, 0) + 1
-        for m in t.messages:
-            if m.kind == "unveil" and "claimed" in m.payload:
-                claim = m.payload["claimed"][0]
-                accepted = t.verdict == "Accepted"
-                accept_by_claim[claim][0] += int(accepted)
-                accept_by_claim[claim][1] += 1
-            if m.kind == "alice_bits":
-                for b in m.payload["bits"]:
-                    bit_counts[int(b)] += 1
-            if m.kind == "bob_bits" and bob.name == "best_of_m":
-                advantages.append(cointoss.zero_prefix_score(m.payload["bits"]))
+        for key, n, d in PROTOCOLS[protocol]["tally"](t, resolve_strategy(protocol, bob)):
+            n0, d0 = sums.get(key, (0, 0))
+            sums[key] = (n0 + n, d0 + d)
         if args.transcripts_dir:
             name = f"{protocol}-{args.seed}-{trial}.jsonl"
             Path(args.transcripts_dir, name).write_bytes(serialize(t))
 
     rows = [{"key": f"verdict_{v}", "value": c} for v, c in sorted(verdicts.items())]
-    for claim in ("0", "1"):
-        acc, tot = accept_by_claim[claim]
-        if tot:
-            rows.append({"key": f"accept_freq_claim{claim}", "value": acc / tot})
-    total_bits = sum(bit_counts)
-    if total_bits:
-        rows.append({"key": "bit_one_freq", "value": bit_counts[1] / total_bits})
-    if advantages:
-        rows.append({"key": "mean_advantage_bits", "value": float(np.mean(advantages))})
+    rows += [{"key": k, "value": num / den} for k, (num, den) in sorted(sums.items())]
     _write_rows(rows, args.format, args.out)
     return 0
 

@@ -10,6 +10,7 @@ r x r Gram matrix of the targets shares.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,6 +75,8 @@ class Codebook:
             raise DomainError(f"vectors shape {V.shape} does not match dim {self.dim}")
         if V.shape[0] < 2:
             raise DomainError("a codebook needs at least 2 vectors")
+        if not np.isfinite(V).all():
+            raise DomainError("codebook vectors must be finite")
         norms = np.linalg.norm(V, axis=1)
         if np.abs(norms - 1.0).max() > qmath.NORM_TOL:
             raise DomainError("codebook vectors must be unit norm")
@@ -279,8 +282,8 @@ def cheat_operator(codebook: Codebook, targets) -> HermitianOperator:
 def cheat_bound(r: int, epsilon: float) -> float:
     """Ceiling 1 + (r - 1) * epsilon on the total success probability of
     keeping r revelations alive in an epsilon-certified codebook."""
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
+    if not 1 <= r <= sys.float_info.max:
+        raise DomainError(f"r must be >= 1 and at most the float maximum, got {r}")
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon {epsilon} outside (0, 1]")
     return 1.0 + (r - 1) * epsilon

@@ -3,9 +3,9 @@
 A session drives one protocol to a terminal verdict while recording every
 message.  Transcripts serialize to JSON lines and replay byte-identically
 for equal inputs.  A strategy is a plain function of public inputs: Alice's
-takes the session params (or the public codebook) and the session rng and
-returns what she sends and later claims; Bob's is a flag that says whether
-he cheats.  No strategy is ever handed a message, so none sees the
+takes the session's public input (its checked params or its codebook) and the
+session rng and returns what she sends and later claims; Bob's is a flag that
+says whether he cheats.  No strategy is ever handed a message, so none sees the
 amplitudes its peer sent; the transcript alone keeps them, for replay.
 
 Quantum payloads ("states", "state") are read-only complex arrays in memory
@@ -172,7 +172,8 @@ class StrategyDescriptor:
 
 def _int_param(name: str, value, lo: int, hi: int | None = None) -> int:
     """A strategy's integer parameter, checked when the strategy is called."""
-    if not float(value).is_integer() or value < lo or (hi is not None and value > hi):
+    integral = isinstance(value, int) or float(value).is_integer()  # no float(10**400)
+    if not integral or value < lo or (hi is not None and value > hi):
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise DomainError(f"{name} must be an integer {span}, got {value}")
     return int(value)
@@ -204,14 +205,19 @@ def _cheat_state(params, rng, /, *, reveal_bit=None):
     return np.tile(cheat.amplitudes, (params.n, 1)), str(bit) * params.n
 
 
-def _run_bitwise(params_dict: dict, alice, cheating: bool, rng, t: Transcript) -> None:
-    params = bitwise.SecurityParams(theta=params_dict["theta"], n=params_dict["n"])
+def _run_bitwise(params, alice, cheating: bool, rng, t: Transcript) -> None:
     states, claimed = alice(params, rng)
     t.append("alice", "commit", {"n": params.n, "states": qmath._read_only(states)})
     t.append("bob", "commit_ack", {})
     t.append("alice", "unveil", {"claimed": claimed})
     failing = bitwise.verify_unveil(states, claimed, params.theta, rng)
     _send_verdict(t, failing)
+
+
+def _tally_bitwise(t: Transcript, cheating: bool) -> list:
+    """Acceptance per first claimed bit; the unveiling is message 2."""
+    claim = t.messages[2].payload["claimed"][0]
+    return [(f"accept_freq_claim{claim}", int(t.verdict == "Accepted"), 1)]
 
 
 # --- codebook commitment: (cb, rng) -> (state, index) -----------------------
@@ -247,11 +253,7 @@ def build_codebook(params_dict: dict, seed: int):
     )
 
 
-def _run_codebook(
-    params_dict: dict, alice, cheating: bool, rng, t: Transcript, cb=None
-) -> None:
-    if cb is None:
-        cb = build_codebook(params_dict, t.seed)
+def _run_codebook(cb, alice, cheating: bool, rng, t: Transcript) -> None:
     state, claimed = alice(cb, rng)
     t.append("alice", "commit", {"state": qmath._read_only(state)})
     t.append("bob", "commit_ack", {})
@@ -270,9 +272,9 @@ def _honest_toss(params, rng, /) -> np.ndarray:
 def _tamper(params, rng, /, *, fraction=1.0, target_bit=0) -> np.ndarray:
     """Replaces a fraction of each batch with the product state that forces
     her own bit to target_bit."""
-    fraction = float(fraction)
     if not (0.0 <= fraction <= 1.0):
         raise DomainError("fraction must lie in [0, 1]")
+    fraction = float(fraction)
     target_bit = _int_param("target_bit", target_bit, 0, 1)
     k = math.ceil(fraction * params.N)
     bad = cointoss.product_pair(target_bit, 1 - target_bit)
@@ -293,10 +295,9 @@ def _tamper_one_batch(params, rng, /, *, batch_index=0, target_bit=0) -> np.ndar
     return batches
 
 
-def _run_cointoss(params_dict: dict, alice, cheating: bool, rng, t: Transcript) -> None:
+def _run_cointoss(params, alice, cheating: bool, rng, t: Transcript) -> None:
     """A cheating Bob (best_of_m) measures every batch first and keeps the
     highest-scoring bit string; skipping the tests is undetectable to Alice."""
-    params = cointoss.CoinTossParams(M=params_dict["M"], N=params_dict["N"])
     batches = alice(params, rng)
     states = qmath._read_only(batches)
     t.append("alice", "prepare", {"M": params.M, "N": params.N, "states": states})
@@ -331,20 +332,37 @@ def _run_cointoss(params_dict: dict, alice, cheating: bool, rng, t: Transcript) 
     t.verdict = "Completed"
 
 
-# Each protocol's driver, Alice's strategy functions, and Bob's strategies as
-# a `cheating` flag.  An honest commitment receiver only acknowledges.
-_PROTOCOLS = {
+def _tally_cointoss(t: Transcript, cheating: bool) -> list:
+    """Ones in Alice's bits, and a cheating Bob's leading zeros, once completed."""
+    if t.verdict != "Completed":
+        return []
+    a_bits, b_bits = (m.payload["bits"] for m in t.messages[-2:])
+    rows = [("bit_one_freq", a_bits.count("1"), len(a_bits))]
+    if cheating:
+        rows.append(("mean_advantage_bits", cointoss.zero_prefix_score(b_bits), 1))
+    return rows
+
+
+# Each protocol's public input from (params, seed), its driver, Alice's strategy
+# functions, Bob's as a `cheating` flag (an honest commitment receiver only
+# acknowledges), and its tally: (transcript, cheating) -> [(key, num, den)].
+PROTOCOLS = {
     "BitwiseCommit": {
+        "public": lambda p, seed: bitwise.SecurityParams(theta=p["theta"], n=p["n"]),
         "driver": _run_bitwise,
         "alice": {"honest": _honest_bitwise, "cheat_state": _cheat_state},
         "bob": {"honest": False},
+        "tally": _tally_bitwise,
     },
     "CodebookCommit": {
+        "public": build_codebook,
         "driver": _run_codebook,
         "alice": {"honest": _honest_codebook, "multistring": _multistring},
         "bob": {"honest": False},
+        "tally": lambda t, cheating: [],
     },
     "CoinToss": {
+        "public": lambda p, seed: cointoss.CoinTossParams(M=p["M"], N=p["N"]),
         "driver": _run_cointoss,
         "alice": {
             "honest": _honest_toss,
@@ -352,12 +370,13 @@ _PROTOCOLS = {
             "tamper_one_batch": _tamper_one_batch,
         },
         "bob": {"honest": False, "best_of_m": True},
+        "tally": _tally_cointoss,
     },
 }
 # Computed once: inspect.signature costs microseconds per call.
 _SIGNATURES = {
     fn: inspect.signature(fn)
-    for table in _PROTOCOLS.values()
+    for table in PROTOCOLS.values()
     for fn in table["alice"].values()
 }
 
@@ -365,7 +384,7 @@ _SIGNATURES = {
 def resolve_strategy(protocol: str, desc: StrategyDescriptor):
     """Alice's strategy function with desc.parameters bound, or Bob's
     `cheating` flag; UnknownStrategy for an unknown name or parameter."""
-    strategies = _PROTOCOLS.get(protocol, {}).get(desc.party, {})
+    strategies = PROTOCOLS.get(protocol, {}).get(desc.party, {})
     if desc.name not in strategies:
         raise UnknownStrategy(f"no {desc.party} strategy {desc.name!r} for {protocol}")
     strategy = strategies[desc.name]
@@ -389,7 +408,7 @@ def run_session(
     seed: int,
     *,
     rng: np.random.Generator | None = None,
-    codebook=None,
+    public=None,
 ) -> Transcript:
     """Drive one protocol session to a terminal verdict.
 
@@ -397,18 +416,20 @@ def run_session(
     rng: draw from the caller's generator instead of the session stream of
     seed, which is then only recorded (and seeds a CodebookCommit codebook
     whose params carry no codebook_seed).
-    codebook: a CodebookCommit session's public codebook, from
-    build_codebook(params, seed); the session builds it when absent.
+    public: the session's public input, PROTOCOLS[protocol]["public"](params,
+    seed); the session builds it, after resolving the strategies, when absent.
     """
-    if protocol not in _PROTOCOLS:
+    if protocol not in PROTOCOLS:
         raise UnknownStrategy(f"unknown protocol {protocol!r}")
     if alice.party != "alice" or bob.party != "bob":
         raise ProtocolViolation("descriptors must name an alice and a bob strategy")
     alice_fn = resolve_strategy(protocol, alice)
     cheating = resolve_strategy(protocol, bob)
+    entry = PROTOCOLS[protocol]
+    if public is None:
+        public = entry["public"](params, seed)
     if rng is None:
         rng = rng_stream(seed, "session")
     t = Transcript(protocol=protocol, params=params, seed=seed)
-    shared = {} if codebook is None else {"cb": codebook}
-    _PROTOCOLS[protocol]["driver"](params, alice_fn, cheating, rng, t, **shared)
+    entry["driver"](public, alice_fn, cheating, rng, t)
     return t

@@ -64,7 +64,7 @@ def _read_only(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Unit-norm complex amplitude vector."""
+    """Unit-norm complex amplitude vector (so every amplitude is finite)."""
 
     amplitudes: np.ndarray
 
@@ -74,7 +74,7 @@ class StateVector:
         if self.dim < 1:
             raise DimMismatch("state vector must have dimension >= 1")
         norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise DomainError(f"state vector norm {norm} is not 1 within {NORM_TOL}")
 
     @property
@@ -92,6 +92,8 @@ class HermitianOperator:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise DimMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise DomainError("matrix has a non-finite entry")
         object.__setattr__(self, "entries", _read_only(m))
         dev = np.abs(m - m.conj().T).max()
         if dev > HERMITIAN_TOL:
@@ -126,9 +128,11 @@ class Eigen(NamedTuple):
 
 
 def ket(amplitudes) -> StateVector:
-    """Normalize a nonzero complex vector into a StateVector."""
+    """Normalize a nonzero finite complex vector into a StateVector."""
     a = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm = np.linalg.norm(a)
+    if not np.isfinite(norm):
+        raise DomainError(f"cannot normalize a vector of norm {norm}")
     if norm < 1e-300:
         raise ZeroVector("cannot normalize a (near-)zero vector")
     return StateVector(a / norm)

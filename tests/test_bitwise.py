@@ -189,6 +189,13 @@ class TestEnsemble:
         exact = qmath.von_neumann_entropy(bitwise.bob_ensemble(n, theta))
         assert exact == pytest.approx(bitwise.bob_entropy(n, theta), abs=1e-9)
 
+    def test_entropy_rejects_n_above_float_max(self):
+        # n * h2 would end in OverflowError: int too large to convert to float.
+        with pytest.raises(DomainError, match="float maximum"):
+            bitwise.bob_entropy(10**400, 0.3)
+        with pytest.raises(DomainError, match="float maximum"):
+            bitwise.inaccessible_bits(10**400, 0.3, 0)
+
     def test_entropy_limits(self):
         assert bitwise.bob_entropy(5, math.pi / 2) == pytest.approx(0, abs=1e-12)
         assert bitwise.bob_entropy(5, 1e-9) == pytest.approx(5, abs=1e-6)

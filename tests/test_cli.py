@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mistrustq import bitwise, cli, codebook, cointoss, qmath
 from mistrustq.cli import main
@@ -181,6 +181,23 @@ class TestRun:
     @pytest.mark.parametrize(
         "argv,message",
         [
+            (["--protocol", "bitwise", "--theta", "5", "--alice", "nope"],
+             "error: theta 5.0 outside (0, pi/2]\n"),
+            (["--protocol", "cointoss", "--batches", "1", "--bob", "nope"],
+             "error: M must be >= 2\n"),
+        ],
+        ids=["bitwise", "cointoss"],
+    )
+    def test_bad_parameter_wins_over_bad_strategy(self, capsys, argv, message):
+        # `run` checks its public input once, before the first session
+        # resolves the strategies, as it always did for the codebook.
+        code, out, err = run_cli(capsys, "run", *argv, "--seed", "1")
+        assert code == 1
+        assert out == "" and err == message
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
             (["run", "--protocol", "bitwise", "--trials", "0"], "trials"),
             (["run", "--protocol", "bitwise", "--alice", "cheat_state:foo=1"], "foo"),
             (["run", "--protocol", "cointoss", "--alice", "tamper:fraction=abc"],
@@ -293,6 +310,63 @@ class TestRun:
         assert code == 0
         names = sorted(p.name for p in d.iterdir())
         assert names == [f"CoinToss-9-{i}.jsonl" for i in range(3)]
+
+
+def read_transcript(path: Path) -> tuple[str, list[dict]]:
+    """A transcript file's verdict and messages, read as plain JSON lines."""
+    docs = [json.loads(line) for line in path.read_bytes().splitlines()]
+    return docs[-1]["verdict"], docs[1:-1]
+
+
+def leading_zeros(bits: str) -> int:
+    return len(bits) - len(bits.lstrip("0"))
+
+
+class TestRowsFromTranscripts:
+    """Every `run` row, recomputed from the run's transcript files alone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--protocol", "bitwise", "--n", "3"],
+            ["--protocol", "bitwise", "--n", "2", "--alice", "cheat_state"],
+            ["--protocol", "codebook", "--alice", "multistring:r=2"],
+            ["--protocol", "cointoss"],
+            ["--protocol", "cointoss", "--alice", "tamper:fraction=0.25"],
+            ["--protocol", "cointoss", "--batches", "8", "--bob", "best_of_m"],
+        ],
+        ids=["bitwise-honest", "bitwise-cheat-state", "codebook-multistring",
+             "cointoss-honest", "cointoss-tamper", "cointoss-best-of-m"],
+    )
+    def test_rows_mean_what_they_say(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, "run", *argv, "--seed", "17", "--trials", "40",
+                               "--format", "json", "--transcripts-dir", str(tmp_path))
+        assert code == 0
+        verdicts, accepted, claims = {}, {}, {}
+        ones = bits = zeros = completed = 0
+        for path in sorted(tmp_path.iterdir()):
+            verdict, messages = read_transcript(path)
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+            for m in messages:
+                if m["kind"] == "unveil" and "claimed" in m["payload"]:
+                    claim = m["payload"]["claimed"][0]
+                    claims[claim] = claims.get(claim, 0) + 1
+                    accepted[claim] = accepted.get(claim, 0) + (verdict == "Accepted")
+                if m["kind"] == "alice_bits":
+                    ones += m["payload"]["bits"].count("1")
+                    bits += len(m["payload"]["bits"])
+                if m["kind"] == "bob_bits":
+                    zeros += leading_zeros(m["payload"]["bits"])
+                    completed += 1
+        assert sum(verdicts.values()) == 40
+        expected = [{"key": f"verdict_{v}", "value": c} for v, c in sorted(verdicts.items())]
+        expected += [{"key": f"accept_freq_claim{b}", "value": accepted[b] / claims[b]}
+                     for b in sorted(claims)]
+        if bits:
+            expected.append({"key": "bit_one_freq", "value": ones / bits})
+        if "best_of_m" in argv:
+            expected.append({"key": "mean_advantage_bits", "value": zeros / completed})
+        assert json.loads(out) == expected
 
 
 class TestOneCodebookPerRun:
@@ -421,8 +495,11 @@ class TestDeterminism:
 
 # Edge values for every numeric flag; sizes that pass stay at 16 or below, and
 # the only larger ones are one above a size guard, which rejects them before
-# anything is allocated, or --r's 10**18, which only closed forms read.
+# anything is allocated, or the large-N values below, which only closed forms
+# and guards read.  HUGE is above the float range: float(HUGE) overflows.  It
+# is never in EDGE, which --trials draws from: range(HUGE) never ends.
 EDGE = ("0", "-1", "nan", "inf", "-inf", "1e30", "0.5", "2.5", "1", "2", "16")
+HUGE = str(10**400)
 ABOVE_GUARD = {
     "--n": (bitwise.MAX_SESSION_N + 1,),
     "--dim": (codebook.MAX_CODEBOOK_DIM + 1, codebook.MAX_SIMPLEX_DIM + 1),
@@ -431,11 +508,13 @@ ABOVE_GUARD = {
     "--pairs": (cointoss.MAX_PAIRS + 1,),
     "--values": (cointoss.MAX_PAIRS + 1,),
 }
-# The large-N regime: angles whose per-qubit gap is tiny, subnormal or 0, and
-# an r far above 2**53.  Only these two flags draw them.
+# The large-N regime: angles whose per-qubit gap is tiny, subnormal or 0, an r
+# far above 2**53, and sizes above the float range.  Only these flags draw them.
 LARGE_N = {
     "--theta": ("1e-8", "1e-300", "5e-324"),
-    "--r": (10**18,),
+    "--n": (HUGE,),
+    "--r": (10**18, HUGE),
+    "--r2": (HUGE,),
 }
 LIST_FLAGS = {"bounds": ("--theta", "--n", "--r2"), "run": (), "sweep": ("--values",)}
 REQUIRED = {"bounds": ("--theta",), "run": (), "sweep": ("--values",)}
@@ -451,6 +530,7 @@ STRATEGY_PARAMS = {
               ("honest", "rng"), ("cheat_state", "params"), ("multistring", "cb")),
     "bob": (("honest", None), ("best_of_m", None), ("best_of_m", "x")),
 }
+STRATEGY_VALUES = EDGE + (HUGE,)
 CHOICES = {
     "run": {"--protocol": tuple(cli.PROTOCOL_NAMES), "--construction": ("random", "simplex")},
     "sweep": {"--metric": tuple(cli.SWEEP_METRICS), "--variable": tuple(cli.SWEEP_FLAGS)},
@@ -473,7 +553,7 @@ def edge_argv(draw):
         for party, strategies in STRATEGY_PARAMS.items():
             name, key = draw(st.sampled_from(strategies))
             if key is not None and draw(st.booleans()):
-                name += f":{key}={draw(st.sampled_from(EDGE))}"
+                name += f":{key}={draw(st.sampled_from(STRATEGY_VALUES))}"
             argv += [f"--{party}", name]
     if command != "bounds":
         argv += ["--seed", draw(st.sampled_from(("0", "1", "-1")))]
@@ -483,6 +563,23 @@ def edge_argv(draw):
 class TestEdgeInput:
     @given(edge_argv())
     @settings(max_examples=150, deadline=None)
+    # float(HUGE) overflows; each of these must still end in `error:`.
+    @example(["bounds", "--theta", "0.3", "--n", HUGE])
+    @example(["bounds", "--theta", "0.3", "--r2", HUGE])
+    @example(["sweep", "--metric", "codebook_bound", "--variable", "epsilon",
+              "--values", "0.3", "--r", HUGE, "--seed", "1"])
+    @example(["sweep", "--metric", "bob_entropy", "--variable", "theta",
+              "--values", "0.3", "--n", HUGE, "--seed", "1"])
+    @example(["run", "--protocol", "bitwise", "--alice", f"cheat_state:reveal_bit={HUGE}",
+              "--seed", "1"])
+    @example(["run", "--protocol", "codebook", "--alice", f"multistring:r={HUGE}",
+              "--seed", "1"])
+    @example(["run", "--protocol", "cointoss",
+              "--alice", f"tamper_one_batch:batch_index={HUGE}", "--seed", "1"])
+    @example(["run", "--protocol", "cointoss", "--alice", f"tamper:target_bit={HUGE}",
+              "--seed", "1"])
+    @example(["run", "--protocol", "cointoss", "--alice", f"tamper:fraction={HUGE}",
+              "--seed", "1"])
     def test_exit_code_and_message(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

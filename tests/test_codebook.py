@@ -92,6 +92,13 @@ class TestRandomCodebook:
             random_codebook(16, 32, epsilon, rng)
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_construction_rejects_non_finite(self, packed16, x):
+        V = packed16.vectors.copy()
+        V[3, 0] = x
+        with pytest.raises(DomainError, match="finite"):
+            Codebook(packed16.dim, V, epsilon=packed16.epsilon)
+
     def test_construction_recertifies(self, packed16):
         # an epsilon tighter than the vectors actually satisfy is refused
         with pytest.raises(DomainError):
@@ -326,7 +333,8 @@ class TestCheatBound:
 
     @pytest.mark.parametrize(
         "r,epsilon",
-        [(0, 0.25), (-1, 0.25), (2, 0.0), (2, -0.1), (2, 1.5), (2, math.nan), (2, math.inf)],
+        [(0, 0.25), (-1, 0.25), (2, 0.0), (2, -0.1), (2, 1.5), (2, math.nan), (2, math.inf),
+         pytest.param(10**400, 0.25, id="r-above-float-max")],
     )
     def test_domain(self, r, epsilon):
         with pytest.raises(DomainError):

@@ -133,6 +133,22 @@ class TestRunSession:
         with pytest.raises(UnknownStrategy):
             run_session("Nope", {}, ALICE_HONEST, BOB_HONEST, 1)
 
+    @pytest.mark.parametrize(
+        "protocol,params",
+        [("BitwiseCommit", {"theta": 5.0, "n": 1}), ("CoinToss", {"M": 1, "N": 1})],
+    )
+    def test_strategy_resolved_before_public_input(self, protocol, params):
+        # A direct call builds the public input after resolving the strategies,
+        # so a bad strategy name wins over a bad parameter here.
+        with pytest.raises(UnknownStrategy):
+            run_session(protocol, params, StrategyDescriptor("alice", "nope"), BOB_HONEST, 1)
+
+    @pytest.mark.parametrize("protocol,params,alice,bob", MATRIX)
+    def test_given_public_input_same_transcript(self, protocol, params, alice, bob):
+        public = harness.PROTOCOLS[protocol]["public"](params, 99)
+        given = serialize(run_session(protocol, params, alice, bob, 99, public=public))
+        assert given == serialize(run_session(protocol, params, alice, bob, 99))
+
     @pytest.mark.parametrize("protocol,params,alice,bob", MATRIX)
     def test_replay_determinism(self, protocol, params, alice, bob):
         a = serialize(run_session(protocol, params, alice, bob, 99))

@@ -23,6 +23,9 @@ from mistrustq.qmath import (
 )
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
 def psi(bit, theta):
     return np.array([1.0, 0.0] if bit == 0 else [math.sin(theta), math.cos(theta)])
 
@@ -53,6 +56,15 @@ class TestKet:
     def test_statevector_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             StateVector([1, 1])
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_rejects_non_finite(self, x):
+        # ket checks the norm before it divides; a nan or inf / inf division
+        # would raise numpy's RuntimeWarning, which fails the run.
+        with pytest.raises(DomainError):
+            ket([x, 1])
+        with pytest.raises(DomainError):
+            StateVector([x, 0])
 
 
 class TestHermitianEigen:
@@ -181,6 +193,12 @@ class TestHermitianEigenvalues:
     def test_rejects_empty(self):
         with pytest.raises(DimMismatch):
             HermitianOperator(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_rejects_non_finite(self, x):
+        for m in ([[x, 0], [0, 1]], [[1, x], [x, 1]]):
+            with pytest.raises(DomainError, match="non-finite"):
+                HermitianOperator(np.array(m))
 
     def test_size_guard(self):
         n = qmath.MAX_EIGENVALUES_DIM + 1
@@ -317,6 +335,11 @@ class TestDensityMatrix:
     def test_rejects_empty(self):
         with pytest.raises(DimMismatch):
             DensityMatrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_rejects_non_finite(self, x):
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityMatrix(np.array([[x, 0], [0, 1.0]]))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises((DomainError, DimMismatch)):
