@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LengthMismatch, TooLarge, Unbounded
+from .errors import DomainError, LengthMismatch, TooLarge, Unbounded, check_int
 from . import qmath
 from .qmath import DensityMatrix, StateVector
 
@@ -36,8 +36,7 @@ class SecurityParams:
 
     def __post_init__(self):
         _check_theta(self.theta)
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
         if self.n > MAX_SESSION_N:
             raise TooLarge(f"n {self.n} exceeds the guard {MAX_SESSION_N}")
 
@@ -111,8 +110,7 @@ def bob_ensemble(n: int, theta: float) -> DensityMatrix:
     which is the same operator as the equal mixture over all 2**n product
     encodings.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = check_int("n", n, 1)
     if n > MAX_EXACT_N:
         raise TooLarge(f"n {n} exceeds the exact-construction guard {MAX_EXACT_N}")
     rho1 = 0.5 * sum(np.outer(v, v.conj()) for v in _encode("01", theta))
@@ -162,8 +160,7 @@ def min_n_for(r: int, theta: float) -> int:
     2**53 exact.  Unbounded where g is below the smallest normal float
     (theta below about 1.76e-154).
     """
-    if r < 1:
-        raise DomainError("r must be >= 1")
+    r = check_int("r", r, 1)
     per_qubit = _qubit_gap(theta)
     if per_qubit < sys.float_info.min:
         raise Unbounded(f"per-qubit gap {per_qubit} is not a normal float at theta {theta}")
@@ -198,8 +195,8 @@ def helstrom_attack(
     where the estimate is n * (1 - H2(success rate)); it must respect the
     entropy ceiling up to statistical fluctuation.
     """
-    if trials < 1_000:
-        raise DomainError("trials must be >= 1e3")
+    n = check_int("n", n, 1)
+    trials = check_int("trials", trials, 1_000)
     plus, minus = helstrom_measurement(theta)
     psi0, psi1 = _encode("01", theta)
     # Outcome statistics per committed bit; the per-qubit simulation reduces

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bitwise, codebook, cointoss
-from .errors import InvalidSpec, SimulationError
+from .errors import InvalidSpec, SimulationError, check_int
 from .harness import (
     PROTOCOLS,
     StrategyDescriptor,
@@ -128,8 +128,7 @@ def _session_params(args) -> dict:
 
 def cmd_run(args) -> int:
     """Verdict counts, then the protocol's tally rows as ratios of sums, by key."""
-    if args.trials < 1:
-        raise InvalidSpec("trials must be >= 1")
+    check_int("trials", args.trials, 1)
     protocol = PROTOCOL_NAMES[args.protocol]
     params = _session_params(args)
     alice = _parse_strategy("alice", args.alice)
@@ -215,8 +214,7 @@ def cmd_sweep(args) -> int:
         values = _floats(args.values)
     except ValueError:
         raise InvalidSpec(f"--values {args.values!r} is not a number list") from None
-    if args.trials < 1:
-        raise InvalidSpec("trials must be >= 1")
+    check_int("trials", args.trials, 1)
     if variable in SWEEP_FLAGS and SWEEP_FLAGS[variable][1] is int:
         if not all(v.is_integer() for v in values):
             raise InvalidSpec(f"{variable} takes integers, got {values}")

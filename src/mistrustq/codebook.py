@@ -22,6 +22,7 @@ from .errors import (
     IndexOutOfRange,
     PackingFailure,
     TooLarge,
+    check_int,
 )
 from . import qmath
 from .qmath import HermitianOperator, StateVector
@@ -192,10 +193,8 @@ def random_codebook(
     sqrt((count - d) / (d (count - 1))) admits no packing at all, so it
     fails before any candidate is drawn.
     """
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if count < 2:
-        raise DomainError("count must be >= 2")
+    d = check_int("d", d, 1)
+    count = check_int("count", count, 2)
     if d > MAX_CODEBOOK_DIM:
         raise TooLarge(f"d {d} exceeds the guard {MAX_CODEBOOK_DIM}")
     if count > MAX_CODEBOOK_COUNT:
@@ -227,8 +226,7 @@ def simplex_codebook(d: int) -> Codebook:
     rotated into R^d by the Helmert basis of the hyperplane orthogonal to
     the all-ones vector.  d is capped at MAX_SIMPLEX_DIM (TooLarge).
     """
-    if d < 2:
-        raise DomainError("d must be >= 2")
+    d = check_int("d", d, 2)
     if d > MAX_SIMPLEX_DIM:
         raise TooLarge(f"d {d} exceeds the guard {MAX_SIMPLEX_DIM}")
     m = d + 1
@@ -261,7 +259,7 @@ def verify_unveil(
 
 
 def _check_targets(codebook: Codebook, targets) -> tuple[int, ...]:
-    targets = tuple(int(t) for t in targets)
+    targets = tuple(check_int("target", t) for t in targets)
     if len(set(targets)) != len(targets):
         raise DuplicateTargets(f"repeated indices in {targets}")
     if not targets:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TooLarge
+from .errors import TooLarge, check_int
 
 # Bell basis rows: Phi+, Phi-, Psi+, Psi- (singlet last).
 _BELL = np.array(
@@ -43,10 +43,8 @@ class CoinTossParams:
     N: int
 
     def __post_init__(self):
-        if self.M < 2:
-            raise DomainError("M must be >= 2")
-        if self.N < 1:
-            raise DomainError("N must be >= 1")
+        object.__setattr__(self, "M", check_int("M", self.M, 2))
+        object.__setattr__(self, "N", check_int("N", self.N, 1))
         if self.M * self.N > MAX_PAIRS:
             raise TooLarge(f"M * N = {self.M * self.N} exceeds the guard {MAX_PAIRS}")
 
@@ -107,12 +105,7 @@ def generate_bits(batch: np.ndarray, rng: np.random.Generator) -> tuple[str, str
 
 def zero_prefix_score(bits: str) -> float:
     """Length of the leading all-zero prefix of a bit string."""
-    n = 0
-    for b in bits:
-        if b != "0":
-            break
-        n += 1
-    return float(n)
+    return float(len(bits) - len(bits.lstrip("0")))
 
 
 def best_zero_prefix(bits: np.ndarray) -> tuple[float, int]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bitwise, codebook, cointoss, qmath
-from .errors import DeserializeError, DomainError, ProtocolViolation, UnknownStrategy
+from .errors import (
+    DeserializeError, DomainError, ProtocolViolation, UnknownStrategy, check_int
+)
 
 FORMAT_VERSION = 1
 
@@ -159,7 +160,7 @@ def deserialize(data: bytes) -> Transcript:
         return t
     except DeserializeError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DeserializeError(f"corrupt transcript: {exc}") from exc
 
 
@@ -168,15 +169,6 @@ class StrategyDescriptor:
     party: str  # "alice" | "bob"
     name: str
     parameters: dict = field(default_factory=dict)
-
-
-def _int_param(name: str, value, lo: int, hi: int | None = None) -> int:
-    """A strategy's integer parameter, checked when the strategy is called."""
-    integral = isinstance(value, int) or float(value).is_integer()  # no float(10**400)
-    if not integral or value < lo or (hi is not None and value > hi):
-        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise DomainError(f"{name} must be an integer {span}, got {value}")
-    return int(value)
 
 
 def _send_verdict(t: Transcript, failing_index) -> None:
@@ -200,7 +192,7 @@ def _cheat_state(params, rng, /, *, reveal_bit=None):
     if reveal_bit is None:
         bit = int(rng.integers(2))
     else:
-        bit = _int_param("reveal_bit", reveal_bit, 0, 1)
+        bit = check_int("reveal_bit", reveal_bit, 0, 1)
     cheat, _, _ = bitwise.optimal_bit_cheat(params.theta)
     return np.tile(cheat.amplitudes, (params.n, 1)), str(bit) * params.n
 
@@ -231,7 +223,7 @@ def _honest_codebook(cb, rng, /):
 def _multistring(cb, rng, /, *, r=2):
     """Commits codebook.optimal_multistring_cheat's state for r random
     target strings, then reveals a random member of the target set."""
-    r = _int_param("r", r, 1)
+    r = check_int("r", r, 1)
     if r > cb.count:
         raise DomainError(f"r {r} exceeds the codebook count {cb.count}")
     targets = [int(i) for i in rng.choice(cb.count, size=r, replace=False)]
@@ -275,7 +267,7 @@ def _tamper(params, rng, /, *, fraction=1.0, target_bit=0) -> np.ndarray:
     if not (0.0 <= fraction <= 1.0):
         raise DomainError("fraction must lie in [0, 1]")
     fraction = float(fraction)
-    target_bit = _int_param("target_bit", target_bit, 0, 1)
+    target_bit = check_int("target_bit", target_bit, 0, 1)
     k = math.ceil(fraction * params.N)
     bad = cointoss.product_pair(target_bit, 1 - target_bit)
     batches = cointoss.singlet_batches(params)
@@ -286,10 +278,8 @@ def _tamper(params, rng, /, *, fraction=1.0, target_bit=0) -> np.ndarray:
 
 def _tamper_one_batch(params, rng, /, *, batch_index=0, target_bit=0) -> np.ndarray:
     """Fully tampers a single batch, hoping Bob keeps it untested."""
-    batch_index = _int_param("batch_index", batch_index, 0)
-    target_bit = _int_param("target_bit", target_bit, 0, 1)
-    if batch_index >= params.M:
-        raise DomainError("batch_index outside [0, M)")
+    batch_index = check_int("batch_index", batch_index, 0, params.M - 1)
+    target_bit = check_int("target_bit", target_bit, 0, 1)
     batches = cointoss.singlet_batches(params)
     batches[batch_index] = cointoss.product_pair(target_bit, 1 - target_bit)
     return batches
@@ -373,12 +363,6 @@ PROTOCOLS = {
         "tally": _tally_cointoss,
     },
 }
-# Computed once: inspect.signature costs microseconds per call.
-_SIGNATURES = {
-    fn: inspect.signature(fn)
-    for table in PROTOCOLS.values()
-    for fn in table["alice"].values()
-}
 
 
 def resolve_strategy(protocol: str, desc: StrategyDescriptor):
@@ -392,11 +376,11 @@ def resolve_strategy(protocol: str, desc: StrategyDescriptor):
         if desc.parameters:
             raise UnknownStrategy(f"bob strategy {desc.name!r} takes no parameters")
         return strategy
-    try:
-        # The two placeholders fill the positional public inputs.
-        _SIGNATURES[strategy].bind(None, None, **desc.parameters)
-    except TypeError as exc:
-        raise UnknownStrategy(f"{desc.party} strategy {desc.name!r}: {exc}") from None
+    # An Alice strategy's parameters are its keyword-only arguments, all defaulted.
+    for key in desc.parameters:
+        if key not in (strategy.__kwdefaults__ or {}):
+            msg = f"got an unexpected keyword argument {key!r}"
+            raise UnknownStrategy(f"alice strategy {desc.name!r}: {msg}")
     return functools.partial(strategy, **desc.parameters)
 
 

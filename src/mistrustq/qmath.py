@@ -129,13 +129,15 @@ class Eigen(NamedTuple):
 
 def ket(amplitudes) -> StateVector:
     """Normalize a nonzero finite complex vector into a StateVector."""
-    a = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(a)
-    if not np.isfinite(norm):
-        raise DomainError(f"cannot normalize a vector of norm {norm}")
-    if norm < 1e-300:
-        raise ZeroVector("cannot normalize a (near-)zero vector")
-    return StateVector(a / norm)
+    a = np.ascontiguousarray(amplitudes, dtype=complex).reshape(-1)
+    peak = np.abs(a.view(float)).max(initial=0.0)  # the largest real or imaginary part
+    if not np.isfinite(peak):
+        raise DomainError("cannot normalize a non-finite vector")
+    if peak == 0:
+        raise ZeroVector("cannot normalize a zero vector")
+    if not 1e-150 <= peak <= 1e150:  # unscaled squares would leave the float range
+        a = (a.view(float) / peak).view(complex)
+    return StateVector(a / np.linalg.norm(a))
 
 
 def _jacobi(H: np.ndarray, tol: float, max_sweeps: int):

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -343,5 +344,26 @@ class TestHelstrom:
         assert info <= bitwise.bob_entropy(n, theta) + 1e-6
 
     def test_trial_floor(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="trials must be >= 1000"):
             bitwise.helstrom_attack(4, 0.3, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: bitwise.min_n_for(2.5, 0.3), "r must be an integer >= 1, got 2.5"),
+        (lambda: bitwise.bob_ensemble(math.nan, 0.3), "n must be an integer >= 1, got nan"),
+        (lambda: bitwise.helstrom_attack(0, 0.3, 1000, np.random.default_rng(0)),
+         "n must be >= 1"),
+    ],
+    ids=["min_n_for-fraction", "bob_ensemble-nan", "helstrom_attack-n-0"],
+)
+def test_malformed_sizes(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_integral_float_sizes():
+    assert bitwise.min_n_for(3.0, 0.3) == bitwise.min_n_for(3, 0.3)
+    assert SecurityParams(theta=0.3, n=4.0) == SecurityParams(theta=0.3, n=4)
+    assert type(SecurityParams(theta=0.3, n=4.0).n) is int

@@ -265,6 +265,22 @@ class TestCheatOperator:
 
 
 class TestMultistringCheat:
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, "1", None])
+    def test_non_integral_target(self, bad):
+        with pytest.raises(DomainError, match="target must be an integer, got"):
+            optimal_multistring_cheat(simplex_codebook(4), [0, bad])
+
+    @pytest.mark.parametrize("bad", [-1, 5, 5.0])
+    def test_integral_target_out_of_range(self, bad):
+        with pytest.raises(IndexOutOfRange):
+            optimal_multistring_cheat(simplex_codebook(4), [0, bad])
+
+    def test_integral_float_targets(self):
+        cb = simplex_codebook(4)
+        assert optimal_multistring_cheat(cb, [0.0, 2.0]).target_indices == (0, 2)
+        with pytest.raises(DuplicateTargets):
+            optimal_multistring_cheat(cb, [1, 1.0])
+
     def test_single_target_total_one(self, packed16):
         report = optimal_multistring_cheat(packed16, [4])
         assert report.total == pytest.approx(1, abs=1e-9)

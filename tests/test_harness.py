@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 
@@ -6,7 +7,12 @@ import numpy as np
 import pytest
 
 from mistrustq import bitwise, cli, codebook, cointoss, harness
-from mistrustq.errors import DeserializeError, ProtocolViolation, UnknownStrategy
+from mistrustq.errors import (
+    DeserializeError,
+    DomainError,
+    ProtocolViolation,
+    UnknownStrategy,
+)
 from mistrustq.harness import (
     StrategyDescriptor,
     Transcript,
@@ -98,6 +104,8 @@ class TestSerialization:
             deserialize(b"")
         with pytest.raises(DeserializeError):
             deserialize(b"\xff\xfe\n{}\n")
+        with pytest.raises(DeserializeError):  # not a RecursionError
+            deserialize(b"[" * 100_000 + b"\n{}\n")
 
     def test_float_precision_survives(self):
         t = Transcript(protocol="CoinToss", params={"x": 0.1 + 0.2}, seed=1)
@@ -220,6 +228,54 @@ class TestRunSession:
         t.verdict = "Completed"
         with pytest.raises(ProtocolViolation):
             t.append("alice", "a", {})
+
+
+# Each protocol's integer header keys, on headers whose integers are all 4.
+INTEGER_KEYS = [
+    ("BitwiseCommit", {"theta": 0.3, "n": 4}, "n"),
+    ("CoinToss", {"M": 4, "N": 4}, "M"),
+    ("CoinToss", {"M": 4, "N": 4}, "N"),
+    ("CodebookCommit", {"dim": 4, "count": 4, "epsilon": 0.9}, "dim"),
+    ("CodebookCommit", {"dim": 4, "count": 4, "epsilon": 0.9}, "count"),
+    ("CodebookCommit", {"dim": 4, "construction": "simplex"}, "dim"),
+]
+INTEGER_KEY_IDS = ["n", "M", "N", "dim", "count", "simplex-dim"]
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, "4", None])
+    @pytest.mark.parametrize("protocol,params,key", INTEGER_KEYS, ids=INTEGER_KEY_IDS)
+    def test_malformed_size_is_a_domain_error(self, protocol, params, key, value):
+        with pytest.raises(DomainError, match=f"^{key if key != 'dim' else 'd'} must be"):
+            run_session(protocol, {**params, key: value}, ALICE_HONEST, BOB_HONEST, 1)
+
+    @pytest.mark.parametrize("protocol,params,key", INTEGER_KEYS, ids=INTEGER_KEY_IDS)
+    def test_integral_float_replays_as_the_int(self, protocol, params, key):
+        for seed in (1, 2):
+            as_float = {**params, key: 4.0}
+            assert serialize(
+                run_session(protocol, as_float, ALICE_HONEST, BOB_HONEST, seed)
+            ) == serialize(run_session(protocol, params, ALICE_HONEST, BOB_HONEST, seed))
+
+
+class TestStrategyParameters:
+    @pytest.mark.parametrize(
+        "fn",
+        [fn for table in harness.PROTOCOLS.values() for fn in table["alice"].values()],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_parameters_are_keyword_defaults(self, fn):
+        # resolve_strategy reads an Alice strategy's parameters from __kwdefaults__.
+        first, second, *rest = inspect.signature(fn).parameters.values()
+        assert first.kind is second.kind is inspect.Parameter.POSITIONAL_ONLY
+        for p in rest:
+            assert p.kind is inspect.Parameter.KEYWORD_ONLY
+            assert p.default is not inspect.Parameter.empty
+
+    def test_first_unknown_name_is_reported(self):
+        desc = StrategyDescriptor("alice", "tamper", {"fraction": 1.0, "zz": 1, "aa": 2})
+        with pytest.raises(UnknownStrategy, match="unexpected keyword argument 'zz'$"):
+            harness.resolve_strategy("CoinToss", desc)
 
 
 class TestStrategyInputs:

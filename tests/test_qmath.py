@@ -57,9 +57,27 @@ class TestKet:
         with pytest.raises(DomainError):
             StateVector([1, 1])
 
+    @pytest.mark.parametrize(
+        "amplitudes,expected",
+        [
+            ([1e200, 1e200], [math.sqrt(0.5)] * 2),
+            ([1e-200, 1e-200], [math.sqrt(0.5)] * 2),
+            ([1e-160, 0], [1, 0]),
+            ([5e-324, -5e-324j], [math.sqrt(0.5), -1j * math.sqrt(0.5)]),
+        ],
+        ids=["overflow", "underflow", "inexact-subnormal-norm", "subnormal"],
+    )
+    def test_extreme_magnitudes(self, amplitudes, expected):
+        # np.linalg.norm's unscaled squares leave the float range on each input.
+        np.testing.assert_allclose(ket(amplitudes).amplitudes, expected, rtol=1e-15)
+
+    def test_in_range_arithmetic(self):
+        a = np.random.default_rng(3).standard_normal((4, 2)) @ [1, 1j]
+        assert (ket(a).amplitudes == a / np.linalg.norm(a)).all()
+
     @pytest.mark.parametrize("x", NON_FINITE)
     def test_rejects_non_finite(self, x):
-        # ket checks the norm before it divides; a nan or inf / inf division
+        # ket checks its entries before it divides; a nan or inf / inf division
         # would raise numpy's RuntimeWarning, which fails the run.
         with pytest.raises(DomainError):
             ket([x, 1])
