@@ -158,22 +158,20 @@ def cmd_run(args) -> int:
 
 
 def _advantage(p: dict, rng, trials: int, seed: int) -> tuple[float, float]:
-    params = cointoss.CoinTossParams(M=p["M"], N=p["N"])
-    scores = [cointoss.bob_best_of_M(params, rng)[0] for _ in range(trials)]
+    scores = cointoss.bob_best_of_M(cointoss.CoinTossParams(M=p["M"], N=p["N"]), rng, trials)
     return float(np.mean(scores)), float(np.std(scores) / math.sqrt(trials))
 
 
 def _detection(p: dict, rng, trials: int, seed: int) -> tuple[float, float]:
     params = {"M": p["M"], "N": p["N"]}
-    alice = StrategyDescriptor(
-        "alice", "tamper", {"fraction": p["tamper_fraction"], "target_bit": 0}
-    )
+    alice = StrategyDescriptor("alice", "tamper", {"fraction": p["tamper_fraction"]})
     bob = StrategyDescriptor("bob", "honest")
-    hits = [
-        run_session("CoinToss", params, alice, bob, seed, rng=rng).verdict == "CheatDetected"
+    public = PROTOCOLS["CoinToss"]["public"](params, seed)  # checked once, as in cmd_run
+    verdicts = [
+        run_session("CoinToss", params, alice, bob, seed, rng=rng, public=public).verdict
         for _ in range(trials)
     ]
-    mean = float(np.mean(hits))
+    mean = verdicts.count("CheatDetected") / trials
     return mean, math.sqrt(mean * (1 - mean) / trials)
 
 

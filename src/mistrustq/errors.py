@@ -65,10 +65,11 @@ class InvalidSpec(SimulationError):
 
 def check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
     """value as an int if it is an integer, or an integral float such as 4.0, in
-    [lo, hi] (any integer if lo is None); else DomainError (NaN, inf, 2.5, "4")."""
+    [lo, hi] (any integer if lo is None); else DomainError (NaN, inf, 2.5, "4", True)."""
     span = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
-    integral = isinstance(value, numbers.Integral)  # float(10**400) would overflow
-    if not (integral or isinstance(value, numbers.Real) and float(value).is_integer()):
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # Integral first: float(10**400) would overflow.
+    if not (real and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise DomainError(f"{name} must be an integer{span}, got {value!r}")
     if lo is not None and (value < lo or (hi is not None and value > hi)):
         raise DomainError(f"{name} must be{span}")

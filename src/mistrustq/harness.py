@@ -237,12 +237,9 @@ def build_codebook(params_dict: dict, seed: int):
     construction = params_dict.get("construction", "random")
     if construction == "simplex":
         return codebook.simplex_codebook(params_dict["dim"])
-    return codebook.random_codebook(
-        params_dict["dim"],
-        params_dict["count"],
-        params_dict["epsilon"],
-        rng_stream(params_dict.get("codebook_seed", seed), "codebook"),
-    )
+    seed = check_int("codebook_seed", params_dict.get("codebook_seed", seed))
+    dim, count, epsilon = params_dict["dim"], params_dict["count"], params_dict["epsilon"]
+    return codebook.random_codebook(dim, count, epsilon, rng_stream(seed, "codebook"))
 
 
 def _run_codebook(cb, alice, cheating: bool, rng, t: Transcript) -> None:
@@ -262,17 +259,17 @@ def _honest_toss(params, rng, /) -> np.ndarray:
 
 
 def _tamper(params, rng, /, *, fraction=1.0, target_bit=0) -> np.ndarray:
-    """Replaces a fraction of each batch with the product state that forces
-    her own bit to target_bit."""
+    """Replaces k = ceil(fraction * N) pairs of each batch with the product
+    state that forces her own bit to target_bit."""
     if not (0.0 <= fraction <= 1.0):
         raise DomainError("fraction must lie in [0, 1]")
-    fraction = float(fraction)
     target_bit = check_int("target_bit", target_bit, 0, 1)
-    k = math.ceil(fraction * params.N)
+    k = math.ceil(float(fraction) * params.N)
     bad = cointoss.product_pair(target_bit, 1 - target_bit)
     batches = cointoss.singlet_batches(params)
-    for batch in batches:
-        batch[rng.choice(params.N, size=k, replace=False)] = bad
+    # The k smallest of each row of one uniform (M, N) draw; k = 0 picks none.
+    picked = np.argpartition(rng.random((params.M, params.N)), k - 1, axis=1)[:, :k]
+    batches[np.arange(params.M)[:, None], picked] = bad
     return batches
 
 
@@ -294,7 +291,7 @@ def _run_cointoss(params, alice, cheating: bool, rng, t: Transcript) -> None:
 
     if cheating:
         outcomes = cointoss.measure_z(batches, rng)
-        _, kept = cointoss.best_zero_prefix(outcomes & 1)
+        kept = int(np.argmax(cointoss.zero_prefixes(outcomes & 1)))
         measured = cointoss.bit_strings(outcomes[kept])
     else:
         measured = None
@@ -407,6 +404,7 @@ def run_session(
         raise UnknownStrategy(f"unknown protocol {protocol!r}")
     if alice.party != "alice" or bob.party != "bob":
         raise ProtocolViolation("descriptors must name an alice and a bob strategy")
+    seed = check_int("seed", seed)
     alice_fn = resolve_strategy(protocol, alice)
     cheating = resolve_strategy(protocol, bob)
     entry = PROTOCOLS[protocol]

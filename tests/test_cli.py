@@ -580,6 +580,11 @@ class TestEdgeInput:
               "--seed", "1"])
     @example(["run", "--protocol", "cointoss", "--alice", f"tamper:fraction={HUGE}",
               "--seed", "1"])
+    # The advantage sweep allocates its scores up front, so it refuses a huge --trials.
+    @example(["sweep", "--metric", "advantage", "--variable", "M", "--values", "2",
+              "--pairs", "1", "--trials", HUGE, "--seed", "1"])
+    @example(["sweep", "--metric", "advantage", "--variable", "M", "--values", "2",
+              "--pairs", "1", "--trials", str(10**15), "--seed", "1"])
     def test_exit_code_and_message(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

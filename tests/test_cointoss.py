@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mistrustq import cli, cointoss
 from mistrustq.cointoss import (
     CoinTossParams,
-    best_zero_prefix,
     bit_strings,
     bob_best_of_M,
     generate_bits,
@@ -15,6 +15,7 @@ from mistrustq.cointoss import (
     singlet,
     singlet_test,
     zero_prefix_score,
+    zero_prefixes,
 )
 from mistrustq.errors import DomainError
 from mistrustq.harness import StrategyDescriptor, resolve_strategy, run_session
@@ -99,6 +100,27 @@ class TestPrepare:
         tampered = np.isclose(batches, [0, 0, 1, 0]).all(axis=-1).sum(axis=1)
         assert (tampered == math.ceil(5 / 2)).all()
 
+    @pytest.mark.parametrize("fraction, k", [(0.0, 0), (0.01, 1), (1 / 8, 1), (1.0, 8)])
+    def test_tamper_count_per_batch(self, fraction, k):
+        params = CoinTossParams(M=5, N=8)
+        batches = prepare(tamper(fraction=fraction, target_bit=1), params,
+                          np.random.default_rng(4))
+        tampered = (batches == product_pair(1, 0)).all(axis=-1)
+        assert (tampered.sum(axis=1) == k).all()
+        assert (batches[~tampered] == singlet()).all()
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_tamper_positions_are_the_smallest_uniforms(self, k):
+        # One rng.random((M, N)) draw per session; each batch tampers the
+        # positions of its row's k smallest values.
+        params = CoinTossParams(M=6, N=8)
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        batches = prepare(tamper(fraction=k / 8, target_bit=0), params, rng)
+        u = replay.random((6, 8))
+        expected = u <= np.sort(u, axis=1)[:, k - 1 : k]
+        assert ((batches == product_pair(0, 1)).all(axis=-1) == expected).all()
+        assert rng.random() == replay.random()
+
     def test_tamper_positions_deterministic(self):
         params = CoinTossParams(M=2, N=8)
         a = prepare(
@@ -181,8 +203,8 @@ class TestGenerateBits:
 
     def test_one_call_matches_per_batch(self):
         # measure_z over all M batches makes the draws of M generate_bits
-        # calls in turn, and best_zero_prefix keeps the batch that the first
-        # best zero_prefix_score of Bob's strings keeps.
+        # calls in turn, and argmax over zero_prefixes keeps the batch that the
+        # first best zero_prefix_score of Bob's strings keeps.
         batches = np.tile(singlet(), (16, 64, 1))
         batches[5, :20] = product_pair(1, 0)
         rng, replay = np.random.default_rng(5), np.random.default_rng(5)
@@ -190,7 +212,7 @@ class TestGenerateBits:
         expected = [generate_bits(b, replay) for b in batches]
         assert [bit_strings(o) for o in outcomes] == expected
         assert rng.random() == replay.random()
-        _, kept = best_zero_prefix(outcomes & 1)
+        kept = int(np.argmax(zero_prefixes(outcomes & 1)))
         assert kept == max(range(16), key=lambda i: zero_prefix_score(expected[i][1]))
 
 
@@ -258,6 +280,28 @@ class TestRunCoinToss:
         assert abs(np.mean(scores) - 4) < 2  # tracks log2(M)
 
 
+def per_session_scores(M, N, rng, trials):
+    """The scores of `trials` sessions of one rng.integers(0, 2, size=(M, N))
+    draw each, as Python floats: the per-session loop the batched scorer replaces."""
+    scores = []
+    for _ in range(trials):
+        bits = rng.integers(0, 2, size=(M, N))
+        prefix = np.where(bits.any(axis=1), np.argmax(bits != 0, axis=1), N)
+        scores.append(float(prefix.max()))
+    return scores
+
+
+class SpyGenerator:
+    """Forwards integers() to a generator and records the size of each draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def integers(self, *args, size, **kwargs):
+        self.sizes.append(math.prod(size))
+        return self.rng.integers(*args, size=size, **kwargs)
+
+
 class TestBestOfM:
     def exact_mean_best_of_two(self, N):
         # enumeration oracle: P(max >= k) = 1 - (1 - 2^-k)^2
@@ -267,7 +311,7 @@ class TestBestOfM:
         params = CoinTossParams(M=2, N=64)
         rng = np.random.default_rng(0)
         trials = 40_000
-        scores = [bob_best_of_M(params, rng)[0] for _ in range(trials)]
+        scores = bob_best_of_M(params, rng, trials)
         exact = self.exact_mean_best_of_two(64)
         assert exact == pytest.approx(5 / 3, abs=1e-12)
         stderr = np.std(scores) / math.sqrt(trials)
@@ -278,7 +322,7 @@ class TestBestOfM:
         means = []
         for M in (4, 64, 1024):
             params = CoinTossParams(M=M, N=64)
-            scores = [bob_best_of_M(params, rng)[0] for _ in range(500)]
+            scores = bob_best_of_M(params, rng, 500)
             means.append(np.mean(scores))
             assert abs(means[-1] - math.log2(M)) < 2
         assert means == sorted(means)
@@ -291,7 +335,7 @@ class TestBestOfM:
         rng = np.random.default_rng(1)
         for M in (4, 64, 1024):
             params = CoinTossParams(M=M, N=64)
-            scores = [bob_best_of_M(params, rng)[0] for _ in range(500)]
+            scores = bob_best_of_M(params, rng, 500)
             exact = sum(1 - (1 - 2.0**-k) ** M for k in range(1, 65))
             stderr = np.std(scores) / math.sqrt(len(scores))
             assert abs(np.mean(scores) - exact) < 4 * stderr
@@ -299,19 +343,65 @@ class TestBestOfM:
     @pytest.mark.parametrize("M, N", [(2, 64), (3, 1), (16, 64), (64, 8), (1024, 64)])
     def test_matches_string_scoring(self, M, N):
         # Reference: score each batch's bit string with zero_prefix_score and
-        # keep the first best, replaying the same draws.
-        params = CoinTossParams(M=M, N=N)
+        # keep the first best, replaying the same draws one session at a time.
+        # The kept batch is the one _run_cointoss takes: argmax of zero_prefixes.
         rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+        expected = []
         for _ in range(50):
             bits = replay.integers(0, 2, size=(M, N))
             strings = ["".join(map(str, row)) for row in bits]
             chosen = max(range(M), key=lambda i: zero_prefix_score(strings[i]))
-            expected = (zero_prefix_score(strings[chosen]), chosen)
-            assert bob_best_of_M(params, rng) == expected
+            expected.append(zero_prefix_score(strings[chosen]))
+            assert int(np.argmax(zero_prefixes(bits))) == chosen
+        assert bob_best_of_M(CoinTossParams(M=M, N=N), rng, 50).tolist() == expected
 
     def test_chosen_index_attains_best(self):
-        params = CoinTossParams(M=8, N=16)
-        rng = np.random.default_rng(2)
-        score, chosen = bob_best_of_M(params, rng)
-        assert 0 <= chosen < 8
-        assert score >= 0
+        bits = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0], [0, 0, 1]])
+        prefixes = zero_prefixes(bits)
+        assert prefixes.tolist() == [0, 2, 1, 2]
+        assert np.argmax(prefixes) == 1  # ties go to the lowest index
+        assert zero_prefixes(np.zeros((2, 3, 5), int)).tolist() == [[5] * 3] * 2
+        scores = bob_best_of_M(CoinTossParams(M=2, N=4), np.random.default_rng(0), 3)
+        assert scores.dtype == np.float64 and scores.shape == (3,)
+
+    @pytest.mark.parametrize(
+        "M, N, trials",
+        [(2, 64, 1000), (4, 64, 1000), (16, 64, 1000), (3, 1, 500), (2, 2**19, 3),
+         (16, 8, 4097), (2, 64, 20000)],
+    )
+    def test_batched_advantage_is_the_per_session_loop(self, M, N, trials):
+        # cli._advantage over the batched scores gives the (mean, stderr) of the
+        # per-session loop bit for bit, and leaves the rng where the loop does.
+        rng, replay = np.random.default_rng(7), np.random.default_rng(7)
+        scores = per_session_scores(M, N, replay, trials)
+        expected = float(np.mean(scores)), float(np.std(scores) / math.sqrt(trials))
+        assert cli._advantage({"M": M, "N": N}, rng, trials, 0) == expected
+        assert rng.random() == replay.random()
+
+    @pytest.mark.parametrize("chunk", [1, 14, 15, 16, 29, 30, 31, 45, 149, 150, 151])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        # M * N = 15 and 10 trials: chunks of 1, 2, 3, 9 and 10 sessions.
+        monkeypatch.setattr(cointoss, "DRAW_CHUNK", chunk)
+        rng, replay = np.random.default_rng(8), np.random.default_rng(8)
+        scores = bob_best_of_M(CoinTossParams(M=3, N=5), rng, 10)
+        assert scores.tolist() == per_session_scores(3, 5, replay, 10)
+        assert rng.random() == replay.random()
+
+    @pytest.mark.parametrize(
+        "M, N, trials", [(16, 64, 1000), (2, 2**19, 3), (3, 1, 500), (1024, 64, 5), (5, 7, 3000)]
+    )
+    def test_draw_size_is_bounded(self, M, N, trials):
+        spy = SpyGenerator(np.random.default_rng(9))
+        bob_best_of_M(CoinTossParams(M=M, N=N), spy, trials)
+        assert cointoss.DRAW_CHUNK <= 2**16
+        assert max(spy.sizes) <= max(cointoss.DRAW_CHUNK, M * N)
+        assert sum(spy.sizes) == trials * M * N
+
+    # Above the cap the score array alone would pass 512 MB, and at 10**15 or
+    # 10**400 numpy itself would raise MemoryError or ValueError.
+    @pytest.mark.parametrize(
+        "trials", [0, -1, 2.5, math.nan, True, 2**26 + 1, 10**15, 10**400]
+    )
+    def test_trials_checked(self, trials):
+        with pytest.raises(DomainError, match="^trials must be"):
+            bob_best_of_M(CoinTossParams(M=2, N=4), np.random.default_rng(0), trials)

@@ -16,7 +16,9 @@ class TestCheckInt:
         assert check_int("n", 10**400, 1) == 10**400
 
     @pytest.mark.parametrize(
-        "value", [math.nan, math.inf, -math.inf, 2.5, np.float64(2.5), "4", None, [4]]
+        "value",
+        [math.nan, math.inf, -math.inf, 2.5, np.float64(2.5), "4", None, [4], True, False,
+         np.True_],
     )
     def test_refuses_non_integers(self, value):
         with pytest.raises(DomainError, match=r"^n must be an integer >= 1, got "):
@@ -30,6 +32,7 @@ class TestCheckInt:
             (("reveal_bit", 2, 0, 1), "reveal_bit must be in [0, 1]"),
             (("reveal_bit", 0.5, 0, 1), "reveal_bit must be an integer in [0, 1], got 0.5"),
             (("target", 1.5), "target must be an integer, got 1.5"),
+            (("n", True, 1), "n must be an integer >= 1, got True"),
         ],
     )
     def test_messages(self, args, message):

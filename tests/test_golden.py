@@ -67,7 +67,7 @@ GOLDEN = [
     ),
     pytest.param(
         COINTOSS + ["--alice", "tamper:fraction=0.25,target_bit=1", "--seed", "42"],
-        "1fba801ff09fadb2fa0b5119e886fd753491c671c1370da4e7be7cb9dc4a92d0",
+        "b3c5084e77fd10a6a59b6fd0ed2ea93ae9a9d377e27c5ba193b2dc694a7ac427",
         id="run-cointoss-tamper-transcripts",
     ),
     pytest.param(
@@ -85,7 +85,7 @@ GOLDEN = [
         ["sweep", "--metric", "detection", "--variable", "M", "--values", "2,3,4",
          "--pairs", "16", "--tamper-fraction", "0.05", "--trials", "200",
          "--seed", "45"],
-        "134d4149a654c854b36cd2dc1bc1bc4229470a02e57a3b017c6ab655916d2001",
+        "ce601fc97ff627a1b97498c70a5cfdef5a466a56b8310e7d57fd502fda501df7",
         id="sweep-detection",
     ),
     pytest.param(

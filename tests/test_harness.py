@@ -249,6 +249,41 @@ class TestMalformedHeader:
         with pytest.raises(DomainError, match=f"^{key if key != 'dim' else 'd'} must be"):
             run_session(protocol, {**params, key: value}, ALICE_HONEST, BOB_HONEST, 1)
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("protocol,params,key", INTEGER_KEYS, ids=INTEGER_KEY_IDS)
+    def test_bool_size_is_a_domain_error(self, protocol, params, key, value):
+        # A JSON true is not the integer 1 (it replayed as a session with n = 1).
+        name = key if key != "dim" else "d"
+        with pytest.raises(DomainError, match=f"^{name} must be an integer .*, got {value}$"):
+            run_session(protocol, {**params, key: value}, ALICE_HONEST, BOB_HONEST, 1)
+
+    @pytest.mark.parametrize("seed", ["x", None, 2.5, math.nan, True, [1]])
+    @pytest.mark.parametrize("protocol,params", [
+        ("BitwiseCommit", {"theta": 0.3, "n": 4}),
+        ("CoinToss", {"M": 4, "N": 4}),
+        ("CodebookCommit", {"dim": 4, "count": 4, "epsilon": 0.9}),
+        ("CodebookCommit", {"dim": 4, "construction": "simplex"}),
+    ], ids=["bitwise", "cointoss", "codebook", "simplex"])
+    def test_malformed_seed_is_a_domain_error(self, protocol, params, seed):
+        with pytest.raises(DomainError, match="^seed must be an integer, got "):
+            run_session(protocol, params, ALICE_HONEST, BOB_HONEST, seed)
+
+    @pytest.mark.parametrize("codebook_seed", ["x", None, 2.5, math.nan, True])
+    def test_malformed_codebook_seed_is_a_domain_error(self, codebook_seed):
+        params = {"dim": 4, "count": 4, "epsilon": 0.9, "codebook_seed": codebook_seed}
+        with pytest.raises(DomainError, match="^codebook_seed must be an integer, got "):
+            run_session("CodebookCommit", params, ALICE_HONEST, BOB_HONEST, 1)
+
+    def test_integral_float_seeds_replay_as_the_int(self):
+        # .17g prints 9.0 as 9, so the transcripts are the same bytes.
+        params = {"dim": 4, "count": 4, "epsilon": 0.9}
+        sessions = [
+            run_session("CodebookCommit", {**params, "codebook_seed": cb_seed},
+                        ALICE_HONEST, BOB_HONEST, seed)
+            for cb_seed, seed in ((9, 4), (9.0, 4.0))
+        ]
+        assert serialize(sessions[0]) == serialize(sessions[1])
+
     @pytest.mark.parametrize("protocol,params,key", INTEGER_KEYS, ids=INTEGER_KEY_IDS)
     def test_integral_float_replays_as_the_int(self, protocol, params, key):
         for seed in (1, 2):
