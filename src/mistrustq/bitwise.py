@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LengthMismatch, TooLarge, Unbounded, check_int
+from .errors import DomainError, LengthMismatch, TooLarge, Unbounded, check_int, check_real
 from . import qmath
 from .qmath import DensityMatrix, StateVector
 
@@ -35,20 +35,19 @@ class SecurityParams:
     n: int
 
     def __post_init__(self):
-        _check_theta(self.theta)
+        object.__setattr__(self, "theta", _check_theta(self.theta))
         object.__setattr__(self, "n", check_int("n", self.n, 1))
         if self.n > MAX_SESSION_N:
             raise TooLarge(f"n {self.n} exceeds the guard {MAX_SESSION_N}")
 
 
-def _check_theta(theta: float) -> None:
-    if not (0.0 < theta <= math.pi / 2):
-        raise DomainError(f"theta {theta} outside (0, pi/2]")
+def _check_theta(theta: float) -> float:
+    return check_real("theta", theta, 0.0, math.pi / 2, "(0, pi/2]")
 
 
 def _encode(bits: str, theta: float) -> np.ndarray:
     """(len(bits), 2) array whose row i is the encoding of bits[i]."""
-    _check_theta(theta)
+    theta = _check_theta(theta)
     if not set(bits) <= {"0", "1"}:
         raise DomainError(f"bits must be 0 or 1, got {bits!r}")
     psi = np.array([[1.0, 0.0], [math.sin(theta), math.cos(theta)]], dtype=complex)
@@ -85,8 +84,7 @@ def verify_unveil(
 
 def cheat_bound(theta: float) -> float:
     """Closed-form maximum of p0 + p1 over all cheat states: 1 + sin(theta)."""
-    _check_theta(theta)
-    return 1.0 + math.sin(theta)
+    return 1.0 + math.sin(_check_theta(theta))
 
 
 def optimal_bit_cheat(theta: float) -> tuple[StateVector, float, float]:
@@ -122,9 +120,8 @@ def bob_ensemble(n: int, theta: float) -> DensityMatrix:
 
 def bob_entropy(n: int, theta: float) -> float:
     """Entropy ceiling on the receiver's accessible information, in bits."""
-    _check_theta(theta)
-    if not 1 <= n <= sys.float_info.max:
-        raise DomainError(f"n must be >= 1 and at most the float maximum, got {n}")
+    theta = _check_theta(theta)
+    n = check_real("n", n, 1, sys.float_info.max, "[1, float maximum]")
     return n * qmath.binary_entropy((1.0 + math.sin(theta)) / 2.0)
 
 
@@ -134,8 +131,7 @@ def _qubit_gap(theta: float) -> float:
     Written as (2x atanh(x) + log1p(-x^2)) / (2 ln 2) with x = sin(theta),
     which does not cancel as theta -> 0, where the gap is about x^2 / (2 ln 2).
     """
-    _check_theta(theta)
-    x = math.sin(theta)
+    x = math.sin(_check_theta(theta))
     if x == 1.0:
         return 1.0
     return (2.0 * x * math.atanh(x) + math.log1p(-x * x)) / (2.0 * math.log(2.0))
@@ -143,12 +139,9 @@ def _qubit_gap(theta: float) -> float:
 
 def inaccessible_bits(n: int, theta: float, r: int) -> tuple[float, bool]:
     """Gap n - S(rho) and whether it exceeds the required r bits."""
-    if r < 0:
-        raise DomainError("r must be >= 0")
+    check_real("r", r, 0, sys.float_info.max, "[0, float maximum]")
     per_qubit = _qubit_gap(theta)
-    if not 1 <= n <= sys.float_info.max:
-        raise DomainError(f"n must be >= 1 and at most the float maximum, got {n}")
-    gap = n * per_qubit
+    gap = check_real("n", n, 1, sys.float_info.max, "[1, float maximum]") * per_qubit
     return gap, gap > r
 
 
@@ -176,7 +169,7 @@ def helstrom_measurement(theta: float) -> tuple[np.ndarray, np.ndarray]:
     spanned by (cos theta/2, -sin theta/2) and (sin theta/2, cos theta/2);
     a "+" outcome is read as bit 0.
     """
-    _check_theta(theta)
+    theta = _check_theta(theta)
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     plus, minus = np.array([c, -s]), np.array([s, c])
     return np.outer(plus, plus), np.outer(minus, minus)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bitwise, codebook, cointoss
-from .errors import InvalidSpec, SimulationError, check_int
+from .errors import InvalidSpec, SimulationError, TooLarge, check_int
 from .harness import (
     PROTOCOLS,
     StrategyDescriptor,
@@ -35,17 +35,12 @@ PROTOCOL_NAMES = {
 }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
     if fmt == "csv":
         header = list(rows[0].keys())
         lines = [",".join(header)]
-        lines += [",".join(_fmt(row[k]) for k in header) for row in rows]
+        cell = lambda x: format(x, ".17g") if isinstance(x, float) else str(x)
+        lines += [",".join(cell(row[k]) for k in header) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         text = format_value(rows) + "\n"
@@ -55,18 +50,15 @@ def _write_rows(rows: list[dict], fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _floats(text: str) -> list[float]:
-    values = [float(x) for x in text.split(",") if x != ""]
-    if not values:
-        raise ValueError("empty list")
-    return values
-
-
-def _ints(text: str) -> list[int]:
-    values = [int(x) for x in text.split(",") if x != ""]
-    if not values:
-        raise ValueError("empty list")
-    return values
+def _comma_list(kind):
+    """A parser of nonempty comma lists of kind, for argparse's type=."""
+    def parse(text: str) -> list:
+        values = [kind(x) for x in text.split(",") if x != ""]
+        if not values:
+            raise ValueError("empty list")
+        return values
+    parse.__name__ = f"{kind.__name__} list"  # argparse's "invalid float list value"
+    return parse
 
 
 def _number(key: str, text: str):
@@ -84,6 +76,12 @@ def _parse_strategy(party: str, text: str) -> StrategyDescriptor:
             k, _, v = item.partition("=")
             params[k] = _number(k, v)
     return StrategyDescriptor(party=party, name=name, parameters=params)
+
+
+def _check_trials(trials) -> None:
+    """--trials: at least 1 (DomainError), at most cointoss.MAX_TRIALS (TooLarge)."""
+    if check_int("trials", trials, 1) > cointoss.MAX_TRIALS:
+        raise TooLarge(f"trials {trials} exceeds the guard {cointoss.MAX_TRIALS}")
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -128,7 +126,7 @@ def _session_params(args) -> dict:
 
 def cmd_run(args) -> int:
     """Verdict counts, then the protocol's tally rows as ratios of sums, by key."""
-    check_int("trials", args.trials, 1)
+    _check_trials(args.trials)
     protocol = PROTOCOL_NAMES[args.protocol]
     params = _session_params(args)
     alice = _parse_strategy("alice", args.alice)
@@ -167,11 +165,9 @@ def _detection(p: dict, rng, trials: int, seed: int) -> tuple[float, float]:
     alice = StrategyDescriptor("alice", "tamper", {"fraction": p["tamper_fraction"]})
     bob = StrategyDescriptor("bob", "honest")
     public = PROTOCOLS["CoinToss"]["public"](params, seed)  # checked once, as in cmd_run
-    verdicts = [
-        run_session("CoinToss", params, alice, bob, seed, rng=rng, public=public).verdict
-        for _ in range(trials)
-    ]
-    mean = verdicts.count("CheatDetected") / trials
+    sessions = (run_session("CoinToss", params, alice, bob, seed, rng=rng, public=public)
+                for _ in range(trials))
+    mean = sum(t.verdict == "CheatDetected" for t in sessions) / trials
     return mean, math.sqrt(mean * (1 - mean) / trials)
 
 
@@ -209,10 +205,10 @@ def cmd_sweep(args) -> int:
     variable = args.variable
     reads, compute = SWEEP_METRICS[args.metric]
     try:
-        values = _floats(args.values)
+        values = _comma_list(float)(args.values)
     except ValueError:
         raise InvalidSpec(f"--values {args.values!r} is not a number list") from None
-    check_int("trials", args.trials, 1)
+    _check_trials(args.trials)
     if variable in SWEEP_FLAGS and SWEEP_FLAGS[variable][1] is int:
         if not all(v.is_integer() for v in values):
             raise InvalidSpec(f"{variable} takes integers, got {values}")
@@ -244,11 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="tabulate closed-form security bounds")
-    b.add_argument("--theta", type=_floats, required=True, help="comma list of angles")
-    b.add_argument("--n", type=_ints, default=[1], help="comma list of string lengths")
+    floats, ints = _comma_list(float), _comma_list(int)
+    b.add_argument("--theta", type=floats, required=True, help="comma list of angles")
+    b.add_argument("--n", type=ints, default=[1], help="comma list of string lengths")
     b.add_argument("--r", type=int, default=1)
     b.add_argument("--epsilon", type=float, default=0.25)
-    b.add_argument("--r2", type=_ints, default=[2], help="comma list of target-set sizes")
+    b.add_argument("--r2", type=ints, default=[2], help="comma list of target-set sizes")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.add_argument("--out")
     b.set_defaults(func=cmd_bounds)

@@ -23,6 +23,7 @@ from .errors import (
     PackingFailure,
     TooLarge,
     check_int,
+    check_real,
 )
 from . import qmath
 from .qmath import HermitianOperator, StateVector
@@ -94,11 +95,6 @@ class Codebook:
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
-
-    @property
-    def bits(self) -> int:
-        """Committed-string length: floor(log2 count)."""
-        return self.count.bit_length() - 1
 
     def state(self, index: int) -> np.ndarray:
         """The codeword of a string index (a read-only row of vectors)."""
@@ -199,8 +195,7 @@ def random_codebook(
         raise TooLarge(f"d {d} exceeds the guard {MAX_CODEBOOK_DIM}")
     if count > MAX_CODEBOOK_COUNT:
         raise TooLarge(f"count {count} exceeds the guard {MAX_CODEBOOK_COUNT}")
-    if not (0.0 < epsilon <= 1.0):
-        raise DomainError("epsilon must lie in (0, 1]")
+    epsilon = check_real("epsilon", epsilon, 0, 1, "(0, 1]")
     if count > d and epsilon <= math.sqrt((count - d) / (d * (count - 1))):
         raise PackingFailure(
             f"epsilon {epsilon} is at or below the Welch bound for {count} vectors "
@@ -280,11 +275,8 @@ def cheat_operator(codebook: Codebook, targets) -> HermitianOperator:
 def cheat_bound(r: int, epsilon: float) -> float:
     """Ceiling 1 + (r - 1) * epsilon on the total success probability of
     keeping r revelations alive in an epsilon-certified codebook."""
-    if not 1 <= r <= sys.float_info.max:
-        raise DomainError(f"r must be >= 1 and at most the float maximum, got {r}")
-    if not (0.0 < epsilon <= 1.0):
-        raise DomainError(f"epsilon {epsilon} outside (0, 1]")
-    return 1.0 + (r - 1) * epsilon
+    check_real("r", check_int("r", r, 1), 1, sys.float_info.max, "[1, float maximum]")
+    return 1.0 + (r - 1) * check_real("epsilon", epsilon, 0, 1, "(0, 1]")
 
 
 def _top_state(projections: np.ndarray) -> StateVector:
@@ -361,5 +353,5 @@ def bob_info_report(codebook: Codebook) -> BobInfoReport:
     return BobInfoReport(
         holevo=qmath.von_neumann_entropy(rho),
         dim_bound=math.log2(codebook.dim),
-        committed_bits=codebook.bits,
+        committed_bits=codebook.count.bit_length() - 1,
     )

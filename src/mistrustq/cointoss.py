@@ -114,6 +114,9 @@ def zero_prefixes(bits: np.ndarray) -> np.ndarray:
     return np.where(bits.any(-1), np.argmax(bits != 0, -1), bits.shape[-1])
 
 
+# Trials of one `run` or sweep value, and scores of one bob_best_of_M call (512 MB of
+# float64).  At 40-170 us per trial (default sizes, 2 x86-64 cores) that is 1-3 h.
+MAX_TRIALS = 2**26
 # Values per draw of bob_best_of_M, or one session's M * N if larger.  Draws of
 # 2**16 int64 values raised the toss benchmark's peak RSS by 0.9 MB; 2**14 did not.
 DRAW_CHUNK = 2**14
@@ -122,10 +125,10 @@ DRAW_CHUNK = 2**14
 def bob_best_of_M(
     params: CoinTossParams, rng: np.random.Generator, trials: int
 ) -> np.ndarray:
-    """float64 best zero-prefix scores of 1 <= trials <= 2**26 (512 MB) sessions of
+    """float64 best zero-prefix scores of 1 <= trials <= MAX_TRIALS sessions of
     measure-then-choose on honest singlets (uniform bits for Bob); their mean tracks
     log2(M).  One (t, M, N) draw gives the values of t (M, N) draws in order."""
-    scores = np.empty(check_int("trials", trials, 1, 2**26))
+    scores = np.empty(check_int("trials", trials, 1, MAX_TRIALS))
     step = max(1, DRAW_CHUNK // (params.M * params.N))
     for i in range(0, len(scores), step):
         bits = rng.integers(0, 2, size=(min(step, len(scores) - i), params.M, params.N))

@@ -1,4 +1,4 @@
-"""Exception types shared across the protocol modules, and the one integer check."""
+"""Exception types shared across the protocol modules, and the integer and real checks."""
 
 import numbers
 
@@ -74,3 +74,15 @@ def check_int(name: str, value, lo: int | None = None, hi: int | None = None) ->
     if lo is not None and (value < lo or (hi is not None and value > hi)):
         raise DomainError(f"{name} must be{span}")
     return int(value)
+
+
+def check_real(name: str, value, lo: float, hi: float, span: str = "") -> float:
+    """value as a float if it is a real number in span, an interval such as
+    "(0, pi/2]" whose brackets say which ends are open ("[lo, hi]" by default);
+    else DomainError (NaN, "0.3", None, True, 1j) as `<name> <value> outside <span>`."""
+    span = span or f"[{lo}, {hi}]"
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    above = real and (lo < value if span[0] == "(" else lo <= value)
+    if not (above and (value < hi if span[-1] == ")" else value <= hi)):
+        raise DomainError(f"{name} {value if real else repr(value)} outside {span}")
+    return float(value)

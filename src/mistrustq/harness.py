@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bitwise, codebook, cointoss, qmath
 from .errors import (
-    DeserializeError, DomainError, ProtocolViolation, UnknownStrategy, check_int
+    DeserializeError, DomainError, ProtocolViolation, UnknownStrategy, check_int, check_real
 )
 
 FORMAT_VERSION = 1
@@ -56,7 +56,9 @@ def format_value(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        # json.dumps spells NaN and the infinities as json.loads reads them.
+        x = float(obj)
+        return format(x, ".17g") if math.isfinite(x) else json.dumps(x)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
@@ -148,14 +150,7 @@ def deserialize(data: bytes) -> Transcript:
         )
         for line in lines[1:-1]:
             doc = json.loads(line)
-            t.messages.append(
-                Message(
-                    seq=doc["seq"],
-                    sender=doc["sender"],
-                    kind=doc["kind"],
-                    payload=doc["payload"],
-                )
-            )
+            t.messages.append(Message(doc["seq"], doc["sender"], doc["kind"], doc["payload"]))
         t.verdict = footer["verdict"]
         return t
     except DeserializeError:
@@ -237,6 +232,8 @@ def build_codebook(params_dict: dict, seed: int):
     construction = params_dict.get("construction", "random")
     if construction == "simplex":
         return codebook.simplex_codebook(params_dict["dim"])
+    if construction != "random":
+        raise DomainError(f"construction {construction!r} is not 'random' or 'simplex'")
     seed = check_int("codebook_seed", params_dict.get("codebook_seed", seed))
     dim, count, epsilon = params_dict["dim"], params_dict["count"], params_dict["epsilon"]
     return codebook.random_codebook(dim, count, epsilon, rng_stream(seed, "codebook"))
@@ -261,10 +258,9 @@ def _honest_toss(params, rng, /) -> np.ndarray:
 def _tamper(params, rng, /, *, fraction=1.0, target_bit=0) -> np.ndarray:
     """Replaces k = ceil(fraction * N) pairs of each batch with the product
     state that forces her own bit to target_bit."""
-    if not (0.0 <= fraction <= 1.0):
-        raise DomainError("fraction must lie in [0, 1]")
+    fraction = check_real("fraction", fraction, 0, 1)
     target_bit = check_int("target_bit", target_bit, 0, 1)
-    k = math.ceil(float(fraction) * params.N)
+    k = math.ceil(fraction * params.N)
     bad = cointoss.product_pair(target_bit, 1 - target_bit)
     batches = cointoss.singlet_batches(params)
     # The k smallest of each row of one uniform (M, N) draw; k = 0 picks none.
@@ -366,7 +362,7 @@ def resolve_strategy(protocol: str, desc: StrategyDescriptor):
     """Alice's strategy function with desc.parameters bound, or Bob's
     `cheating` flag; UnknownStrategy for an unknown name or parameter."""
     strategies = PROTOCOLS.get(protocol, {}).get(desc.party, {})
-    if desc.name not in strategies:
+    if desc.name not in tuple(strategies):
         raise UnknownStrategy(f"no {desc.party} strategy {desc.name!r} for {protocol}")
     strategy = strategies[desc.name]
     if desc.party == "bob":
@@ -400,16 +396,20 @@ def run_session(
     public: the session's public input, PROTOCOLS[protocol]["public"](params,
     seed); the session builds it, after resolving the strategies, when absent.
     """
-    if protocol not in PROTOCOLS:
+    if protocol not in tuple(PROTOCOLS):  # a tuple, unlike a dict, takes a list or dict
         raise UnknownStrategy(f"unknown protocol {protocol!r}")
+    if not isinstance(params, dict):
+        raise DomainError(f"params must be a dict, got {params!r}")
     if alice.party != "alice" or bob.party != "bob":
         raise ProtocolViolation("descriptors must name an alice and a bob strategy")
     seed = check_int("seed", seed)
     alice_fn = resolve_strategy(protocol, alice)
     cheating = resolve_strategy(protocol, bob)
     entry = PROTOCOLS[protocol]
-    if public is None:
-        public = entry["public"](params, seed)
+    try:
+        public = entry["public"](params, seed) if public is None else public
+    except KeyError as exc:
+        raise DomainError(f"params have no key {exc}") from None
     if rng is None:
         rng = rng_stream(seed, "session")
     t = Transcript(protocol=protocol, params=params, seed=seed)

@@ -25,6 +25,7 @@ from .errors import (
     NoConvergence,
     TooLarge,
     ZeroVector,
+    check_real,
 )
 
 NORM_TOL = 1e-12
@@ -338,8 +339,7 @@ def hermitian_eigenvalues(H: HermitianOperator) -> np.ndarray:
 
 def binary_entropy(p: float) -> float:
     """H2(p) = -p log2 p - (1-p) log2 (1-p), in bits."""
-    if p < 0.0 or p > 1.0:
-        raise DomainError(f"probability {p} outside [0, 1]")
+    p = check_real("p", p, 0, 1)
     out = 0.0
     for x in (p, 1.0 - p):
         if x > 0.0:

@@ -363,6 +363,28 @@ def test_malformed_sizes(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: bitwise.cheat_bound("0.3"), "theta '0.3' outside (0, pi/2]"),
+        (lambda: bitwise.cheat_bound(True), "theta True outside (0, pi/2]"),
+        (lambda: SecurityParams(theta=None, n=1), "theta None outside (0, pi/2]"),
+        (lambda: bitwise.helstrom_measurement(0.3j), "theta 0.3j outside (0, pi/2]"),
+        (lambda: bitwise.bob_entropy(math.nan, 0.3), "n nan outside [1, float maximum]"),
+        (lambda: bitwise.bob_entropy(0.5, 0.3), "n 0.5 outside [1, float maximum]"),
+        (lambda: bitwise.inaccessible_bits("2", 0.3, 0), "n '2' outside [1, float maximum]"),
+        (lambda: bitwise.inaccessible_bits(2, 0.3, math.nan),
+         "r nan outside [0, float maximum]"),
+        (lambda: bitwise.inaccessible_bits(2, 0.3, -1), "r -1 outside [0, float maximum]"),
+    ],
+    ids=["cheat_bound-str", "cheat_bound-bool", "params-none", "helstrom-complex",
+         "entropy-n-nan", "entropy-n-half", "gap-n-str", "gap-r-nan", "gap-r-negative"],
+)
+def test_malformed_reals(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_integral_float_sizes():
     assert bitwise.min_n_for(3.0, 0.3) == bitwise.min_n_for(3, 0.3)
     assert SecurityParams(theta=0.3, n=4.0) == SecurityParams(theta=0.3, n=4)

@@ -456,6 +456,34 @@ class TestSweep:
         assert code == 1
         assert out == "" and err == "error: trials must be >= 1\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--protocol", "bitwise"],
+            ["run", "--protocol", "cointoss", "--alice", "tamper"],
+            ["sweep", "--metric", "detection", "--variable", "M", "--values", "2",
+             "--pairs", "1", "--tamper-fraction", "0.5"],
+            ["sweep", "--metric", "advantage", "--variable", "M", "--values", "2",
+             "--pairs", "1"],
+            ["sweep", "--metric", "cheat_bound", "--variable", "theta", "--values", "0.3"],
+        ],
+        ids=["run-bitwise", "run-tamper", "sweep-detection", "sweep-advantage",
+             "sweep-cheat-bound"],
+    )
+    @pytest.mark.parametrize("trials", [cointoss.MAX_TRIALS + 1, 10**400], ids=["above", "huge"])
+    def test_trials_ceiling(self, capsys, argv, trials):
+        # Without it, a run or a detection sweep of 10**400 trials never ended.
+        code, out, err = run_cli(capsys, *argv, "--trials", str(trials), "--seed", "1")
+        assert code == 1
+        assert out == "" and err == f"error: trials {trials} exceeds the guard 67108864\n"
+
+    def test_trials_at_the_ceiling(self, capsys):
+        # A closed-form metric only records its trials, so the ceiling itself runs.
+        code, out, _ = run_cli(capsys, "sweep", "--metric", "cheat_bound", "--variable",
+                               "theta", "--values", "0.3", "--trials", "67108864", "--seed", "1")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[1] == "67108864"
+
 
 class TestDeterminism:
     COMMANDS = [
@@ -496,8 +524,8 @@ class TestDeterminism:
 # Edge values for every numeric flag; sizes that pass stay at 16 or below, and
 # the only larger ones are one above a size guard, which rejects them before
 # anything is allocated, or the large-N values below, which only closed forms
-# and guards read.  HUGE is above the float range: float(HUGE) overflows.  It
-# is never in EDGE, which --trials draws from: range(HUGE) never ends.
+# and guards read.  HUGE is above the float range: float(HUGE) overflows.
+# --trials above cointoss.MAX_TRIALS, HUGE included, is refused before any trial.
 EDGE = ("0", "-1", "nan", "inf", "-inf", "1e30", "0.5", "2.5", "1", "2", "16")
 HUGE = str(10**400)
 ABOVE_GUARD = {
@@ -507,6 +535,7 @@ ABOVE_GUARD = {
     "--batches": (cointoss.MAX_PAIRS + 1,),
     "--pairs": (cointoss.MAX_PAIRS + 1,),
     "--values": (cointoss.MAX_PAIRS + 1,),
+    "--trials": (cointoss.MAX_TRIALS + 1,),
 }
 # The large-N regime: angles whose per-qubit gap is tiny, subnormal or 0, an r
 # far above 2**53, and sizes above the float range.  Only these flags draw them.
@@ -515,6 +544,7 @@ LARGE_N = {
     "--n": (HUGE,),
     "--r": (10**18, HUGE),
     "--r2": (HUGE,),
+    "--trials": (HUGE,),
 }
 LIST_FLAGS = {"bounds": ("--theta", "--n", "--r2"), "run": (), "sweep": ("--values",)}
 REQUIRED = {"bounds": ("--theta",), "run": (), "sweep": ("--values",)}
@@ -580,9 +610,12 @@ class TestEdgeInput:
               "--seed", "1"])
     @example(["run", "--protocol", "cointoss", "--alice", f"tamper:fraction={HUGE}",
               "--seed", "1"])
-    # The advantage sweep allocates its scores up front, so it refuses a huge --trials.
+    # Every run and sweep refuses a huge --trials before the first trial.
     @example(["sweep", "--metric", "advantage", "--variable", "M", "--values", "2",
               "--pairs", "1", "--trials", HUGE, "--seed", "1"])
+    @example(["sweep", "--metric", "detection", "--variable", "M", "--values", "2",
+              "--pairs", "1", "--tamper-fraction", "0.5", "--trials", HUGE, "--seed", "1"])
+    @example(["run", "--protocol", "cointoss", "--trials", HUGE, "--seed", "1"])
     @example(["sweep", "--metric", "advantage", "--variable", "M", "--values", "2",
               "--pairs", "1", "--trials", str(10**15), "--seed", "1"])
     def test_exit_code_and_message(self, argv):

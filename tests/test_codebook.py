@@ -356,6 +356,30 @@ class TestCheatBound:
         with pytest.raises(DomainError):
             codebook.cheat_bound(r, epsilon)
 
+    @pytest.mark.parametrize(
+        "r,epsilon,message",
+        [
+            (2.5, 0.25, "r must be an integer >= 1, got 2.5"),
+            (True, 0.25, "r must be an integer >= 1, got True"),
+            (2, "0.25", "epsilon '0.25' outside (0, 1]"),
+            (2, None, "epsilon None outside (0, 1]"),
+            (2, math.nan, "epsilon nan outside (0, 1]"),
+        ],
+    )
+    def test_messages(self, r, epsilon, message):
+        with pytest.raises(DomainError) as exc:
+            codebook.cheat_bound(r, epsilon)
+        assert str(exc.value) == message
+
+    def test_integral_float_r(self):
+        assert codebook.cheat_bound(3.0, 0.25) == codebook.cheat_bound(3, 0.25) == 1.5
+
+
+@pytest.mark.parametrize("epsilon", ["0.9", None, True, 0.9j, math.nan, 0.0, 1.5])
+def test_random_codebook_epsilon_is_a_real_in_range(epsilon):
+    with pytest.raises(DomainError, match=r"^epsilon .* outside \(0, 1\]$"):
+        random_codebook(4, 4, epsilon, np.random.default_rng(0))
+
 
 class TestGramMatrix:
     def test_single_target(self, packed16):

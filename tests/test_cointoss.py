@@ -147,6 +147,12 @@ class TestPrepare:
         with pytest.raises(DomainError):
             prepare(alice, CoinTossParams(M=2, N=4), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("fraction", ["0.5", None, True, math.nan, -0.1, 0.5j])
+    def test_fraction_is_a_real_in_range(self, fraction):
+        # "0.5" ended in TypeError; True tampered every pair.
+        with pytest.raises(DomainError, match=r"^fraction .* outside \[0, 1\]$"):
+            prepare(tamper(fraction, 0), CoinTossParams(M=2, N=4), np.random.default_rng(0))
+
 
 class TestSingletTest:
     def test_honest_always_passes(self):

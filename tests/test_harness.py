@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mistrustq import bitwise, cli, codebook, cointoss, harness
 from mistrustq.errors import (
     DeserializeError,
     DomainError,
     ProtocolViolation,
+    SimulationError,
     UnknownStrategy,
 )
 from mistrustq.harness import (
@@ -106,6 +108,15 @@ class TestSerialization:
             deserialize(b"\xff\xfe\n{}\n")
         with pytest.raises(DeserializeError):  # not a RecursionError
             deserialize(b"[" * 100_000 + b"\n{}\n")
+
+    def test_non_finite_floats_read_back(self):
+        # Written as .17g they read "nan" and "inf", which json.loads refuses.
+        values = [math.nan, math.inf, -math.inf, np.float64(-math.inf), 0.1]
+        text = "[NaN, Infinity, -Infinity, -Infinity, 0.10000000000000001]"
+        assert harness.format_value(values) == text
+        t = run_session("CoinToss", {"M": 2, "N": 2, "x": values}, ALICE_HONEST, BOB_HONEST, 1)
+        back = deserialize(serialize(t)).params["x"]
+        assert math.isnan(back[0]) and back[1:] == values[1:]
 
     def test_float_precision_survives(self):
         t = Transcript(protocol="CoinToss", params={"x": 0.1 + 0.2}, seed=1)
@@ -291,6 +302,160 @@ class TestMalformedHeader:
             assert serialize(
                 run_session(protocol, as_float, ALICE_HONEST, BOB_HONEST, seed)
             ) == serialize(run_session(protocol, params, ALICE_HONEST, BOB_HONEST, seed))
+
+
+    @pytest.mark.parametrize("protocol,params,key", [
+        ("BitwiseCommit", {"theta": 0.3, "n": 4}, "theta"),
+        ("BitwiseCommit", {"theta": 0.3, "n": 4}, "n"),
+        ("CoinToss", {"M": 4, "N": 4}, "M"),
+        ("CoinToss", {"M": 4, "N": 4}, "N"),
+        ("CodebookCommit", {"dim": 4, "count": 4, "epsilon": 0.9}, "dim"),
+        ("CodebookCommit", {"dim": 4, "count": 4, "epsilon": 0.9}, "count"),
+        ("CodebookCommit", {"dim": 4, "count": 4, "epsilon": 0.9}, "epsilon"),
+        ("CodebookCommit", {"dim": 4, "construction": "simplex"}, "dim"),
+    ])
+    def test_missing_key_is_a_domain_error(self, protocol, params, key):
+        params = {k: v for k, v in params.items() if k != key}
+        with pytest.raises(DomainError, match=f"^params have no key '{key}'$"):
+            run_session(protocol, params, ALICE_HONEST, BOB_HONEST, 1)
+
+    @pytest.mark.parametrize("protocol,params,key", [
+        ("BitwiseCommit", {"theta": 0.3, "n": 4}, "theta"),
+        ("CodebookCommit", {"dim": 4, "count": 4, "epsilon": 0.9}, "epsilon"),
+    ])
+    @pytest.mark.parametrize("value", ["0.3", None, 0.3j, True, [0.3], math.nan])
+    def test_malformed_real_is_a_domain_error(self, protocol, params, key, value):
+        with pytest.raises(DomainError, match=f"^{key} .* outside "):
+            run_session(protocol, {**params, key: value}, ALICE_HONEST, BOB_HONEST, 1)
+
+    @pytest.mark.parametrize("construction", ["other", None, [], "Simplex"])
+    def test_unknown_construction_is_a_domain_error(self, construction):
+        params = {"dim": 4, "count": 4, "epsilon": 0.9, "construction": construction}
+        with pytest.raises(DomainError, match="^construction .* is not 'random' or 'simplex'$"):
+            run_session("CodebookCommit", params, ALICE_HONEST, BOB_HONEST, 1)
+
+    @pytest.mark.parametrize("protocol", [["BitwiseCommit"], {"CoinToss": 1}, None, 3])
+    def test_protocol_name_must_be_a_known_string(self, protocol):
+        with pytest.raises(UnknownStrategy, match="^unknown protocol "):
+            run_session(protocol, {"M": 4, "N": 4}, ALICE_HONEST, BOB_HONEST, 1)
+
+    @pytest.mark.parametrize("name", [["honest"], {"honest": 1}, None])
+    def test_strategy_name_must_be_a_known_string(self, name):
+        with pytest.raises(UnknownStrategy, match="^no alice strategy "):
+            run_session("CoinToss", {"M": 4, "N": 4}, StrategyDescriptor("alice", name),
+                        BOB_HONEST, 1)
+
+    @pytest.mark.parametrize("params", [None, [("M", 4), ("N", 4)], "M=4", 4])
+    def test_params_must_be_a_dict(self, params):
+        with pytest.raises(DomainError, match="^params must be a dict, got "):
+            run_session("CoinToss", params, ALICE_HONEST, BOB_HONEST, 1)
+
+
+def json_values(*scalars):
+    """Values as json.loads gives them, built from the given scalar strategies."""
+    return st.recursive(
+        st.one_of(st.none(), st.booleans(), st.text(max_size=4), *scalars),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3),
+                                                                      inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+# Every kind of JSON value, NaN and the infinities included.
+JSON_VALUES = json_values(st.integers(), st.floats())
+
+
+# Sizes are small, or refused before anything is allocated: by a size guard
+# (10**400, 2**20 + 1 and 1e300 are above every guard) or by the integer rule.
+# No other number is drawn for a size, so that no large session is built.
+SIZES = (
+    st.integers(1, 4),
+    st.sampled_from([-1, 0, 10**400, 2**20 + 1, -0.0, 2.0, 2.5, 1e300, math.nan, math.inf])
+    | json_values(),
+)
+# Each header key: values that may run a session, and values of any type.
+HEADERS = {
+    "BitwiseCommit": {"theta": (st.floats(0, 2), JSON_VALUES), "n": SIZES},
+    "CodebookCommit": {
+        "dim": SIZES,
+        "count": SIZES,
+        "epsilon": (st.floats(0, 2), JSON_VALUES),
+        "construction": (st.sampled_from(["random", "simplex"]), JSON_VALUES),
+        "codebook_seed": (st.integers(), JSON_VALUES),
+    },
+    "CoinToss": {"M": SIZES, "N": SIZES},
+}
+
+
+@st.composite
+def mostly(draw, valid, other):
+    """valid three times in four, other once (a one_of would favour the
+    larger space of other)."""
+    return draw(valid if draw(st.sampled_from([True, True, True, False])) else other)
+
+
+@st.composite
+def header(draw, protocol):
+    """A header dict in which each of the protocol's keys, and an unread "x",
+    is absent one time in five."""
+    params = {}
+    for key, (valid, other) in {**HEADERS[protocol], "x": (JSON_VALUES, JSON_VALUES)}.items():
+        if draw(st.sampled_from([True, True, True, True, False])):
+            params[key] = draw(mostly(valid, other))
+    return params
+
+
+SEEDS = mostly(st.integers(), JSON_VALUES)
+
+
+def strategies(protocol, party):
+    names = sorted(harness.PROTOCOLS[protocol][party])
+    return st.sampled_from([StrategyDescriptor(party, name) for name in names])
+
+
+def replays_or_raises(protocol, params, seed, alice, bob):
+    """A replayed header either runs to a transcript that deserialize reads
+    back, or ends in a SimulationError."""
+    try:
+        t = run_session(protocol, params, alice, bob, seed)
+    except SimulationError:
+        return
+    back = deserialize(serialize(t))
+    assert (back.protocol, back.verdict, back.params.keys()) == (
+        protocol, t.verdict, params.keys()
+    )
+
+
+class TestHeaderProperty:
+    # Each draw is a header as a transcript file could hold it, plus the session
+    # seed; the strategies are drawn from the protocol's own.
+    @given(header("BitwiseCommit"), SEEDS, strategies("BitwiseCommit", "alice"),
+           strategies("BitwiseCommit", "bob"))
+    @settings(max_examples=100, deadline=None)
+    @example({}, 1, ALICE_HONEST, BOB_HONEST)
+    @example({"theta": "0.3", "n": 4}, 1, ALICE_HONEST, BOB_HONEST)
+    @example({"theta": 0.3, "n": 2, "x": math.nan}, 1, ALICE_HONEST, BOB_HONEST)
+    def test_bitwise(self, params, seed, alice, bob):
+        replays_or_raises("BitwiseCommit", params, seed, alice, bob)
+
+    @given(header("CodebookCommit"), SEEDS, strategies("CodebookCommit", "alice"),
+           strategies("CodebookCommit", "bob"))
+    @settings(max_examples=100, deadline=None)
+    @example({}, 1, ALICE_HONEST, BOB_HONEST)
+    @example({"dim": 4, "count": 4, "epsilon": "0.9"}, 1, ALICE_HONEST, BOB_HONEST)
+    @example({"dim": 4, "construction": "simplex", "x": [-math.inf]}, 1, ALICE_HONEST,
+             BOB_HONEST)
+    def test_codebook(self, params, seed, alice, bob):
+        replays_or_raises("CodebookCommit", params, seed, alice, bob)
+
+    @given(header("CoinToss"), SEEDS, strategies("CoinToss", "alice"),
+           strategies("CoinToss", "bob"))
+    @settings(max_examples=100, deadline=None)
+    @example({}, 1, ALICE_HONEST, BOB_HONEST)
+    @example({"M": 4}, 1, ALICE_HONEST, BOB_HONEST)
+    @example({"M": 2, "N": 2, "x": {"y": math.inf}}, 1, ALICE_HONEST, BOB_HONEST)
+    def test_cointoss(self, params, seed, alice, bob):
+        replays_or_raises("CoinToss", params, seed, alice, bob)
 
 
 class TestStrategyParameters:

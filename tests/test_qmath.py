@@ -303,6 +303,12 @@ class TestEntropy:
         with pytest.raises(DomainError):
             binary_entropy(1.5)
 
+    @pytest.mark.parametrize("p", [math.nan, True, False, "0.5", None])
+    def test_binary_entropy_refuses_non_reals(self, p):
+        # NaN fell through both comparisons and returned 0.0; True read as 1.
+        with pytest.raises(DomainError, match=r"^p .* outside \[0, 1\]$"):
+            binary_entropy(p)
+
     def test_binary_entropy_matches_eigendecomposition(self):
         # oracle: direct spectral entropy of the corresponding diagonal state
         rho = DensityMatrix(np.diag([0.55, 0.45]))
