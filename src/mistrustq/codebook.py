@@ -29,23 +29,16 @@ from . import qmath
 from .qmath import HermitianOperator, StateVector
 
 MAX_REPORT_DIM = 256
-# Size guards on a random codebook.  Memory grows with d through the fill
-# block: at count 8 a `run --protocol codebook` peaked at 38 MB at dim 16 and
-# 68 MB at dim 256.  One polish step at count 256 takes 1.4 ms at dim 4 and
-# 7.4 ms at dim 256, so a packing that never converges fails after 6-37 s.
+# Size guards on a random codebook.  At count 8 a `run --protocol codebook`
+# peaked at 36 MB at both dim 16 and dim 256.  One polish step at count 256
+# takes 1.4 ms at dim 4 and 7.4 ms at dim 256, so a packing that never
+# converges fails after 6-37 s.
 MAX_CODEBOOK_DIM = 256
 MAX_CODEBOOK_COUNT = 256
 # A simplex codebook builds a d x (d+1) basis and a (d+1)^2 certificate: a
 # `run --protocol codebook --construction simplex` took 0.04 s and 41 MB at
 # dim 256, 0.48 s and 142 MB at 1024, and 1.3 s and 455 MB at 2048.
 MAX_SIMPLEX_DIM = 1024
-# Greedy fill draws at most MAX_FILL_ATTEMPTS Haar candidates, FILL_BLOCK at
-# a time, and screens them FILL_CHUNK at a time: acceptance re-screens only
-# the rest of one chunk, so neither a nearly empty nor a nearly full
-# acceptance region costs a pass over a whole block per accepted vector.
-MAX_FILL_ATTEMPTS = 200_000
-FILL_BLOCK = 4096
-FILL_CHUNK = 64
 # Repulsion polish: gradient steps of this size, at most this many.
 POLISH_STEP = 0.5
 POLISH_MAX_ITERS = 5000
@@ -121,39 +114,6 @@ class CheatReport:
                 raise DomainError(f"success probability {p} outside [0, 1]")
 
 
-def _greedy_fill(
-    d: int, count: int, epsilon: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Greedy rejection sampling of Haar candidates; returns the accepted rows.
-
-    Candidates are taken in draw order, FILL_CHUNK at a time: the chunk is
-    screened against every accepted row at once, then its first survivor is
-    accepted and the rest of the chunk is screened against it, until the
-    chunk is empty.  Sampling stops early once a whole block of candidates
-    is rejected: acceptance has stalled, and the shortfall is left to the
-    repulsion polish.
-    """
-    V = np.empty((count, d), dtype=complex)
-    k = used = 0
-    while k < count and used < MAX_FILL_ATTEMPTS:
-        b = min(FILL_BLOCK, MAX_FILL_ATTEMPTS - used)
-        z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        used += b
-        before = k
-        for c in np.split(z, range(FILL_CHUNK, b, FILL_CHUNK)):
-            c = c[(np.abs(c @ V[:k].conj().T) < epsilon).all(axis=1)]
-            while c.shape[0] and k < count:
-                V[k] = c[0]
-                c = c[1:][np.abs(c[1:] @ V[k].conj()) < epsilon]
-                k += 1
-            if k == count:
-                break
-        if k == before:
-            break
-    return V[:k]
-
-
 def _repulsion_polish(V: np.ndarray, epsilon: float) -> np.ndarray | None:
     """Push vectors apart until all overlaps drop below epsilon.
 
@@ -178,16 +138,13 @@ def random_codebook(
 ) -> Codebook:
     """Seeded random low-coherence packing.
 
-    Haar-random candidates are accepted greedily while their overlap with
-    every accepted vector stays below epsilon.  Near the packing limit the
-    acceptance region shrinks too fast for rejection alone, so once a whole
-    block of candidates is rejected (or MAX_FILL_ATTEMPTS run out) any
-    shortfall is filled with fresh Haar vectors and the whole set is polished
-    by repulsion descent, then re-certified.  Deterministic for a fixed rng
-    state.  d and count are capped at MAX_CODEBOOK_DIM and MAX_CODEBOOK_COUNT
-    (TooLarge).  An epsilon at or below the Welch bound
-    sqrt((count - d) / (d (count - 1))) admits no packing at all, so it
-    fails before any candidate is drawn.
+    count Haar-random unit vectors (the real parts of all rows drawn first,
+    then the imaginary parts) are pushed apart by the repulsion polish until
+    every pairwise overlap is below epsilon, then certified by Codebook.
+    Deterministic for a fixed rng state.  d and count are capped at
+    MAX_CODEBOOK_DIM and MAX_CODEBOOK_COUNT (TooLarge).  An epsilon at or
+    below the Welch bound sqrt((count - d) / (d (count - 1))) admits no
+    packing at all, so it fails before anything is drawn.
     """
     d = check_int("d", d, 1)
     count = check_int("count", count, 2)
@@ -201,16 +158,12 @@ def random_codebook(
             f"epsilon {epsilon} is at or below the Welch bound for {count} vectors "
             f"in dim {d}"
         )
-    V = _greedy_fill(d, count, epsilon, rng)
-    if len(V) < count:
-        short = count - len(V)
-        fills = rng.standard_normal((short, d)) + 1j * rng.standard_normal((short, d))
-        fills /= np.linalg.norm(fills, axis=1, keepdims=True)
-        V = _repulsion_polish(np.vstack([V, fills]), epsilon)
-        if V is None:
-            raise PackingFailure(
-                f"could not pack {count} vectors in dim {d} below overlap {epsilon}"
-            )
+    V = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    V = _repulsion_polish(V / np.linalg.norm(V, axis=1, keepdims=True), epsilon)
+    if V is None:
+        raise PackingFailure(
+            f"could not pack {count} vectors in dim {d} below overlap {epsilon}"
+        )
     return Codebook(dim=d, vectors=V, epsilon=epsilon, construction="random")
 
 

@@ -137,19 +137,21 @@ def serialize(t: Transcript) -> bytes:
 
 
 def deserialize(data: bytes) -> Transcript:
+    # format_value writes the float -0.0 as -0 and never writes an int that way.
+    loads = functools.partial(json.loads, parse_int=lambda s: -0.0 if s == "-0" else int(s))
     try:
         lines = data.decode("utf-8").splitlines()
         if len(lines) < 2:
             raise DeserializeError("transcript needs a header and a footer")
-        header = json.loads(lines[0])
-        footer = json.loads(lines[-1])
+        header = loads(lines[0])
+        footer = loads(lines[-1])
         if header["format_version"] != FORMAT_VERSION:
             raise DeserializeError(f"unsupported version {header['format_version']}")
         t = Transcript(
             protocol=header["protocol"], params=header["params"], seed=header["seed"]
         )
         for line in lines[1:-1]:
-            doc = json.loads(line)
+            doc = loads(line)
             t.messages.append(Message(doc["seq"], doc["sender"], doc["kind"], doc["payload"]))
         t.verdict = footer["verdict"]
         return t
@@ -361,6 +363,8 @@ PROTOCOLS = {
 def resolve_strategy(protocol: str, desc: StrategyDescriptor):
     """Alice's strategy function with desc.parameters bound, or Bob's
     `cheating` flag; UnknownStrategy for an unknown name or parameter."""
+    if not isinstance(desc.parameters, dict):
+        raise UnknownStrategy(f"strategy parameters must be a dict, got {desc.parameters!r}")
     strategies = PROTOCOLS.get(protocol, {}).get(desc.party, {})
     if desc.name not in tuple(strategies):
         raise UnknownStrategy(f"no {desc.party} strategy {desc.name!r} for {protocol}")

@@ -120,6 +120,26 @@ class TestRandomCodebook:
         with pytest.raises(DomainError):
             random_codebook(4, 1, 0.5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("d, count", [(2, 2), (4, 8), (16, 32), (64, 128)])
+    def test_vacuous_bound_keeps_the_draw(self, d, count):
+        # At epsilon = 1 nothing needs polishing: the codebook is the
+        # row-normalized draw, real parts first, and consumes nothing more.
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        cb = random_codebook(d, count, 1.0, rng)
+        V = ref.standard_normal((count, d)) + 1j * ref.standard_normal((count, d))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        assert cb.vectors.tobytes() == V.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d, count", [(8, 32), (16, 64), (32, 64)])
+    def test_near_limit_packing_succeeds(self, d, count, seed):
+        # 1.15 times the Welch bound is close to the packing limit.
+        epsilon = round(1.15 * welch(d, count), 4)
+        cb = random_codebook(d, count, epsilon, np.random.default_rng(seed))
+        assert cb.count == count
+        assert welch(d, count) <= overlaps(cb).max() < epsilon
+
     def test_packing_count_grows_with_dimension(self):
         # empirical stand-in for exponential packing growth
         counts = []
@@ -133,45 +153,6 @@ class TestRandomCodebook:
                     break
             counts.append(got)
         assert counts == sorted(counts) and counts[-1] > counts[0]
-
-
-def greedy_fill_reference(d, count, epsilon, rng, max_attempts, block=4096):
-    """The per-candidate greedy loop that _greedy_fill vectorizes."""
-    V = np.empty((count, d), dtype=complex)
-    k = used = 0
-    while k < count and used < max_attempts:
-        b = min(block, max_attempts - used)
-        z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        used += b
-        z = z[(np.abs(z @ V[:k].conj().T) < epsilon).all(axis=1)]
-        before = k
-        for v in z:
-            if (np.abs(V[:k].conj() @ v) >= epsilon).any():
-                continue
-            V[k] = v
-            k += 1
-            if k == count:
-                break
-        if k == before:
-            break
-    return V[:k]
-
-
-class TestGreedyFill:
-    @pytest.mark.parametrize(
-        "d, count, epsilon", [(16, 32, 0.25), (8, 16, 0.5), (2, 3, 0.9), (64, 128, 0.6)]
-    )
-    @pytest.mark.parametrize("seed", range(16))
-    def test_matches_per_candidate_loop(self, d, count, epsilon, seed):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = codebook._greedy_fill(d, count, epsilon, rng)
-        expected = greedy_fill_reference(
-            d, count, epsilon, ref_rng, codebook.MAX_FILL_ATTEMPTS, codebook.FILL_BLOCK
-        )
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
-        assert rng.random() == ref_rng.random()
 
 
 class TestSimplexCodebook:

@@ -112,12 +112,12 @@ GOLDEN = [
     ),
     pytest.param(
         CODEBOOK + ["--seed", "53"],
-        "bf20c5af2fe60cd99b7581c2147d94378b2893c6d5baa77fb17039c727099cfd",
+        "d8b1e2e9fd645814626551b7ee331d08019a81d33b26b6c5d5f2a42b98381d85",
         id="run-codebook-honest-transcripts",
     ),
     pytest.param(
         CODEBOOK + ["--alice", "multistring:r=2", "--seed", "54"],
-        "d2c8d0f10f8be515c769d0f0507c98fe6d5c1c03083afee9404b5b84675bcafb",
+        "912cef2f453fcd74ca4ed2f356f666be878f374aded0f926dcd79dad0f0b0f72",
         id="run-codebook-multistring-transcripts",
     ),
     pytest.param(

@@ -118,6 +118,28 @@ class TestSerialization:
         back = deserialize(serialize(t)).params["x"]
         assert math.isnan(back[0]) and back[1:] == values[1:]
 
+    def test_signed_zero_header_replays(self):
+        # format_value writes -0.0 as -0, which json.loads alone reads as the int 0.
+        t = run_session("CoinToss", {"M": 2, "N": 2, "x": -0.0}, ALICE_HONEST, BOB_HONEST, 1)
+        data = serialize(t)
+        assert b'"x": -0}' in data
+        back = deserialize(data)
+        assert math.copysign(1.0, back.params["x"]) == -1.0
+        assert serialize(back) == data
+        replayed = run_session("CoinToss", back.params, ALICE_HONEST, BOB_HONEST, 1)
+        assert serialize(replayed) == data
+
+    def test_signed_zero_amplitude_reads_back(self):
+        t = Transcript(protocol="CoinToss", params={}, seed=1)
+        t.append("alice", "state", {"state": np.array([complex(-0.0, 0.0), complex(1.0, -0.0)])})
+        t.verdict = "Completed"
+        data = serialize(t)
+        assert b'"state": [[-0, 0], [1, -0]]' in data
+        (re0, im0), (re1, im1) = deserialize(data).messages[0].payload["state"]
+        assert [math.copysign(1.0, x) for x in (re0, im0, im1)] == [-1.0, 1.0, -1.0]
+        assert (re1, type(re1), type(im0)) == (1, int, int)
+        assert serialize(deserialize(data)) == data
+
     def test_float_precision_survives(self):
         t = Transcript(protocol="CoinToss", params={"x": 0.1 + 0.2}, seed=1)
         t.verdict = "Completed"
@@ -213,12 +235,13 @@ class TestRunSession:
 
     def test_header_without_codebook_seed_replays_as_before(self):
         # Headers written before codebook_seed existed draw the codebook from
-        # the session seed; this digest was computed on that code.
+        # the session seed; this digest pins that path on the repulsion-only
+        # construction of random_codebook.
         params = {"dim": 4, "count": 8, "epsilon": 0.9, "construction": "random"}
         alice = StrategyDescriptor("alice", "multistring", {"r": 2})
         data = serialize(run_session("CodebookCommit", params, alice, BOB_HONEST, 54))
         assert hashlib.sha256(data).hexdigest() == (
-            "cb76a7c51c0bd637d32f7e8e82b90c9209b5e7123c69f43a464f113cdab4cbba"
+            "41b6f27f25dece20afd939cff5c72b29d7b6c3b261e3e4204b4b9ab7a4b0c608"
         )
 
     @pytest.mark.parametrize("protocol,params,alice,bob", MATRIX)
@@ -415,15 +438,17 @@ def strategies(protocol, party):
 
 def replays_or_raises(protocol, params, seed, alice, bob):
     """A replayed header either runs to a transcript that deserialize reads
-    back, or ends in a SimulationError."""
+    back to the same bytes, or ends in a SimulationError."""
     try:
         t = run_session(protocol, params, alice, bob, seed)
     except SimulationError:
         return
-    back = deserialize(serialize(t))
+    data = serialize(t)
+    back = deserialize(data)
     assert (back.protocol, back.verdict, back.params.keys()) == (
         protocol, t.verdict, params.keys()
     )
+    assert serialize(back) == data
 
 
 class TestHeaderProperty:
@@ -454,6 +479,7 @@ class TestHeaderProperty:
     @example({}, 1, ALICE_HONEST, BOB_HONEST)
     @example({"M": 4}, 1, ALICE_HONEST, BOB_HONEST)
     @example({"M": 2, "N": 2, "x": {"y": math.inf}}, 1, ALICE_HONEST, BOB_HONEST)
+    @example({"M": 2, "N": 2, "x": [-0.0]}, 1, ALICE_HONEST, BOB_HONEST)
     def test_cointoss(self, params, seed, alice, bob):
         replays_or_raises("CoinToss", params, seed, alice, bob)
 
@@ -471,6 +497,16 @@ class TestStrategyParameters:
         for p in rest:
             assert p.kind is inspect.Parameter.KEYWORD_ONLY
             assert p.default is not inspect.Parameter.empty
+
+    @pytest.mark.parametrize("parameters", [None, 5, ["fraction"], "x"])
+    @pytest.mark.parametrize("party, name", [("alice", "tamper"), ("bob", "honest")])
+    def test_parameters_must_be_a_dict(self, party, name, parameters):
+        desc = StrategyDescriptor(party, name, parameters)
+        with pytest.raises(UnknownStrategy, match="parameters must be a dict, got "):
+            harness.resolve_strategy("CoinToss", desc)
+        alice, bob = (desc, BOB_HONEST) if party == "alice" else (ALICE_HONEST, desc)
+        with pytest.raises(UnknownStrategy):
+            run_session("CoinToss", {"M": 2, "N": 2}, alice, bob, 1)
 
     def test_first_unknown_name_is_reported(self):
         desc = StrategyDescriptor("alice", "tamper", {"fraction": 1.0, "zz": 1, "aa": 2})
