@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LengthMismatch, TooLarge, Unbounded, check_int, check_real
+from .errors import DomainError, LengthMismatch, Unbounded, check_int, check_real
 from . import qmath
-from .qmath import DensityMatrix, StateVector
+from .qmath import HermitianOperator, StateVector
 
-MAX_EXACT_N = 10
+MAX_EXACT_N = qmath.MAX_EIGENVALUES_DIM.bit_length() - 1  # dim 2**n <= 1024
 # Size guard on the string length of one session.  At n = 10**6 one
 # `run --protocol bitwise` took 2.7 s and peaked at 174 MB RSS.
 MAX_SESSION_N = 10**6
@@ -36,9 +36,7 @@ class SecurityParams:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _check_theta(self.theta))
-        object.__setattr__(self, "n", check_int("n", self.n, 1))
-        if self.n > MAX_SESSION_N:
-            raise TooLarge(f"n {self.n} exceeds the guard {MAX_SESSION_N}")
+        object.__setattr__(self, "n", check_int("n", self.n, 1, guard=MAX_SESSION_N))
 
 
 def _check_theta(theta: float) -> float:
@@ -101,21 +99,19 @@ def optimal_bit_cheat(theta: float) -> tuple[StateVector, float, float]:
     return cheat, p0, p1
 
 
-def bob_ensemble(n: int, theta: float) -> DensityMatrix:
+def bob_ensemble(n: int, theta: float) -> HermitianOperator:
     """Receiver's view of a uniformly random committed string.
 
     Equals the n-fold tensor power of the single-qubit mixture (P0 + P1) / 2,
     which is the same operator as the equal mixture over all 2**n product
     encodings.
     """
-    n = check_int("n", n, 1)
-    if n > MAX_EXACT_N:
-        raise TooLarge(f"n {n} exceeds the exact-construction guard {MAX_EXACT_N}")
+    n = check_int("n", n, 1, guard=MAX_EXACT_N)
     rho1 = 0.5 * sum(np.outer(v, v.conj()) for v in _encode("01", theta))
     out = rho1
     for _ in range(n - 1):
         out = np.kron(out, rho1)
-    return DensityMatrix(out)
+    return HermitianOperator(out)
 
 
 def bob_entropy(n: int, theta: float) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bitwise, codebook, cointoss
-from .errors import InvalidSpec, SimulationError, TooLarge, check_int
+from .errors import InvalidSpec, SimulationError, check_int
 from .harness import (
     PROTOCOLS,
     StrategyDescriptor,
@@ -78,12 +78,6 @@ def _parse_strategy(party: str, text: str) -> StrategyDescriptor:
     return StrategyDescriptor(party=party, name=name, parameters=params)
 
 
-def _check_trials(trials) -> None:
-    """--trials: at least 1 (DomainError), at most cointoss.MAX_TRIALS (TooLarge)."""
-    if check_int("trials", trials, 1) > cointoss.MAX_TRIALS:
-        raise TooLarge(f"trials {trials} exceeds the guard {cointoss.MAX_TRIALS}")
-
-
 def _trial_seed(seed: int, trial: int) -> int:
     digest = hashlib.sha256(f"{seed}:{trial}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % 2**63
@@ -126,7 +120,7 @@ def _session_params(args) -> dict:
 
 def cmd_run(args) -> int:
     """Verdict counts, then the protocol's tally rows as ratios of sums, by key."""
-    _check_trials(args.trials)
+    check_int("trials", args.trials, 1, guard=cointoss.MAX_TRIALS)
     protocol = PROTOCOL_NAMES[args.protocol]
     params = _session_params(args)
     alice = _parse_strategy("alice", args.alice)
@@ -208,7 +202,7 @@ def cmd_sweep(args) -> int:
         values = _comma_list(float)(args.values)
     except ValueError:
         raise InvalidSpec(f"--values {args.values!r} is not a number list") from None
-    _check_trials(args.trials)
+    check_int("trials", args.trials, 1, guard=cointoss.MAX_TRIALS)
     if variable in SWEEP_FLAGS and SWEEP_FLAGS[variable][1] is int:
         if not all(v.is_integer() for v in values):
             raise InvalidSpec(f"{variable} takes integers, got {values}")

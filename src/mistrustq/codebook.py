@@ -21,7 +21,6 @@ from .errors import (
     DuplicateTargets,
     IndexOutOfRange,
     PackingFailure,
-    TooLarge,
     check_int,
     check_real,
 )
@@ -146,12 +145,8 @@ def random_codebook(
     below the Welch bound sqrt((count - d) / (d (count - 1))) admits no
     packing at all, so it fails before anything is drawn.
     """
-    d = check_int("d", d, 1)
-    count = check_int("count", count, 2)
-    if d > MAX_CODEBOOK_DIM:
-        raise TooLarge(f"d {d} exceeds the guard {MAX_CODEBOOK_DIM}")
-    if count > MAX_CODEBOOK_COUNT:
-        raise TooLarge(f"count {count} exceeds the guard {MAX_CODEBOOK_COUNT}")
+    d = check_int("d", d, 1, guard=MAX_CODEBOOK_DIM)
+    count = check_int("count", count, 2, guard=MAX_CODEBOOK_COUNT)
     epsilon = check_real("epsilon", epsilon, 0, 1, "(0, 1]")
     if count > d and epsilon <= math.sqrt((count - d) / (d * (count - 1))):
         raise PackingFailure(
@@ -174,9 +169,7 @@ def simplex_codebook(d: int) -> Codebook:
     rotated into R^d by the Helmert basis of the hyperplane orthogonal to
     the all-ones vector.  d is capped at MAX_SIMPLEX_DIM (TooLarge).
     """
-    d = check_int("d", d, 2)
-    if d > MAX_SIMPLEX_DIM:
-        raise TooLarge(f"d {d} exceeds the guard {MAX_SIMPLEX_DIM}")
+    d = check_int("d", d, 2, guard=MAX_SIMPLEX_DIM)
     m = d + 1
     # Helmert rows: orthonormal basis of the hyperplane sum(x) = 0.
     B = np.zeros((d, m))
@@ -299,10 +292,9 @@ def bob_info_report(codebook: Codebook) -> BobInfoReport:
     dim_bound = log2(dim) always dominates it, while the committed string
     is floor(log2 count) bits.
     """
-    if codebook.dim > MAX_REPORT_DIM:
-        raise TooLarge(f"dim {codebook.dim} exceeds the guard {MAX_REPORT_DIM}")
+    check_int("dim", codebook.dim, guard=MAX_REPORT_DIM)
     V = codebook.vectors
-    rho = qmath.DensityMatrix(V.T @ V.conj() / codebook.count)
+    rho = HermitianOperator(V.T @ V.conj() / codebook.count)
     return BobInfoReport(
         holevo=qmath.von_neumann_entropy(rho),
         dim_bound=math.log2(codebook.dim),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLarge, check_int
+from .errors import check_int
 
 # Bell basis rows: Phi+, Phi-, Psi+, Psi- (singlet last).
 _BELL = np.array(
@@ -45,8 +45,7 @@ class CoinTossParams:
     def __post_init__(self):
         object.__setattr__(self, "M", check_int("M", self.M, 2))
         object.__setattr__(self, "N", check_int("N", self.N, 1))
-        if self.M * self.N > MAX_PAIRS:
-            raise TooLarge(f"M * N = {self.M * self.N} exceeds the guard {MAX_PAIRS}")
+        check_int("M * N", self.M * self.N, guard=MAX_PAIRS)
 
 
 def singlet() -> np.ndarray:
@@ -128,7 +127,7 @@ def bob_best_of_M(
     """float64 best zero-prefix scores of 1 <= trials <= MAX_TRIALS sessions of
     measure-then-choose on honest singlets (uniform bits for Bob); their mean tracks
     log2(M).  One (t, M, N) draw gives the values of t (M, N) draws in order."""
-    scores = np.empty(check_int("trials", trials, 1, MAX_TRIALS))
+    scores = np.empty(check_int("trials", trials, 1, guard=MAX_TRIALS))
     step = max(1, DRAW_CHUNK // (params.M * params.N))
     for i in range(0, len(scores), step):
         bits = rng.integers(0, 2, size=(min(step, len(scores) - i), params.M, params.N))

@@ -28,7 +28,7 @@ class NoConvergence(SimulationError):
 
 
 class TooLarge(SimulationError):
-    """A requested construction exceeds the exact-computation size guard."""
+    """A requested size exceeds its guard (raised by check_int alone)."""
 
 
 class Unbounded(SimulationError):
@@ -63,9 +63,11 @@ class InvalidSpec(SimulationError):
     """A sweep specification violates its invariants."""
 
 
-def check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+def check_int(name: str, value, lo: int | None = None, hi: int | None = None, *,
+              guard: int | None = None) -> int:
     """value as an int if it is an integer, or an integral float such as 4.0, in
-    [lo, hi] (any integer if lo is None); else DomainError (NaN, inf, 2.5, "4", True)."""
+    [lo, hi] (any integer if lo is None); else DomainError (NaN, inf, 2.5, "4", True).
+    Then a size guard: above guard, TooLarge as `<name> <value> exceeds the guard <guard>`."""
     span = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     # Integral first: float(10**400) would overflow.
@@ -73,6 +75,8 @@ def check_int(name: str, value, lo: int | None = None, hi: int | None = None) ->
         raise DomainError(f"{name} must be an integer{span}, got {value!r}")
     if lo is not None and (value < lo or (hi is not None and value > hi)):
         raise DomainError(f"{name} must be{span}")
+    if guard is not None and value > guard:
+        raise TooLarge(f"{name} {int(value)} exceeds the guard {guard}")
     return int(value)
 
 

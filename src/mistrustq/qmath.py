@@ -1,8 +1,8 @@
 """Exact small-dimension complex linear algebra and entropy.
 
-Computation is on plain numpy arrays.  StateVector, HermitianOperator and
-DensityMatrix are the validated types at the boundary: they check their
-input once, hold it read-only, and are what the spectral functions take.
+Computation is on plain numpy arrays.  StateVector and HermitianOperator
+are the validated types at the boundary: they check their input once, hold
+it read-only, and are what the spectral functions take.
 hermitian_eigen returns its result as (eigenvalues, eigenvectors) arrays,
 with the eigenvectors as columns.  All operations are pure, so they are
 safe to call from concurrent code; the only stateful object that ever
@@ -23,8 +23,8 @@ from .errors import (
     DimMismatch,
     DomainError,
     NoConvergence,
-    TooLarge,
     ZeroVector,
+    check_int,
     check_real,
 )
 
@@ -85,7 +85,7 @@ class StateVector:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Square complex matrix, Hermitian within 1e-12 entrywise."""
+    """Square complex matrix, Hermitian within HERMITIAN_TOL times its largest entry."""
 
     entries: np.ndarray
 
@@ -97,27 +97,12 @@ class HermitianOperator:
             raise DomainError("matrix has a non-finite entry")
         object.__setattr__(self, "entries", _read_only(m))
         dev = np.abs(m - m.conj().T).max()
-        if dev > HERMITIAN_TOL:
+        if dev > HERMITIAN_TOL * np.abs(m).max():
             raise DomainError(f"matrix deviates from Hermitian by {dev}")
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class DensityMatrix(HermitianOperator):
-    """Hermitian, trace-1, positive-semidefinite operator."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        tr = np.trace(self.entries)
-        if abs(tr - 1.0) > HERMITIAN_TOL:
-            raise DomainError(f"trace {tr} is not 1 within {HERMITIAN_TOL}")
-        # PSD validity check only, independent of the package's own solvers.
-        lo = np.linalg.eigvalsh(self.entries).min()
-        if lo < EIGEN_FLOOR:
-            raise DomainError(f"negative eigenvalue {lo} below {EIGEN_FLOOR}")
 
 
 class Eigen(NamedTuple):
@@ -139,6 +124,15 @@ def ket(amplitudes) -> StateVector:
     if not 1e-150 <= peak <= 1e150:  # unscaled squares would leave the float range
         a = (a.view(float) / peak).view(complex)
     return StateVector(a / np.linalg.norm(a))
+
+
+def _scaled(H: np.ndarray) -> tuple[np.ndarray, int]:
+    """(H * 2**-k, k), exact: k = 0 while the largest real or imaginary part is in
+    [2**-450, 2**500], where the kernels' squares of it and of parts 2**-60 below
+    it are normal floats; else k brings it into [0.5, 1).  Unscale by np.ldexp."""
+    peak = np.abs(H.view(float)).max()
+    k = 0 if 2.0**-450 <= peak <= 2.0**500 else math.frexp(peak)[1]
+    return (np.ldexp(H.view(float), -k).view(complex) if k else H), k
 
 
 def _jacobi(H: np.ndarray, tol: float, max_sweeps: int):
@@ -195,11 +189,11 @@ def hermitian_eigen(H: HermitianOperator) -> Eigen:
     Eigenvalues come back in descending order; the eigenvector columns are
     orthonormal and reconstruct the input within 1e-9 entrywise.
     """
-    if H.dim > MAX_JACOBI_DIM:
-        raise TooLarge(f"dim {H.dim} exceeds the Jacobi guard {MAX_JACOBI_DIM}")
-    w, V = _jacobi(H.entries, JACOBI_TOL, JACOBI_MAX_SWEEPS)
+    check_int("dim", H.dim, guard=MAX_JACOBI_DIM)
+    A, k = _scaled(H.entries)
+    w, V = _jacobi(A, JACOBI_TOL, JACOBI_MAX_SWEEPS)
     order = np.argsort(w)[::-1]
-    return Eigen(w[order], V[:, order])
+    return Eigen(np.ldexp(w[order], k), V[:, order])
 
 
 def _tridiagonalize(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,11 +324,9 @@ def hermitian_eigenvalues(H: HermitianOperator) -> np.ndarray:
     appears as often as its multiplicity.  For callers that need no
     eigenvectors.
     """
-    if H.dim > MAX_EIGENVALUES_DIM:
-        raise TooLarge(
-            f"dim {H.dim} exceeds the eigenvalue guard {MAX_EIGENVALUES_DIM}"
-        )
-    return _sturm_bisect(*_tridiagonalize(H.entries))[::-1]
+    check_int("dim", H.dim, guard=MAX_EIGENVALUES_DIM)
+    A, k = _scaled(H.entries)
+    return np.ldexp(_sturm_bisect(*_tridiagonalize(A))[::-1], k)
 
 
 def binary_entropy(p: float) -> float:
@@ -347,8 +339,17 @@ def binary_entropy(p: float) -> float:
     return out
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -sum lambda log2 lambda, in bits, with 0 log 0 := 0."""
+def von_neumann_entropy(rho: HermitianOperator) -> float:
+    """S(rho) = -sum lambda log2 lambda, in bits, with 0 log 0 := 0, of a density
+    matrix: DomainError unless rho has trace 1 and no eigenvalue below EIGEN_FLOOR."""
+    check_int("dim", rho.dim, guard=MAX_EIGENVALUES_DIM)  # before eigvalsh runs
+    tr = np.trace(rho.entries)
+    if abs(tr - 1.0) > HERMITIAN_TOL:
+        raise DomainError(f"trace {tr} is not 1 within {HERMITIAN_TOL}")
+    # PSD validity check only, independent of the package's own solvers.
+    lo = np.linalg.eigvalsh(rho.entries).min()
+    if lo < EIGEN_FLOOR:
+        raise DomainError(f"negative eigenvalue {lo} below {EIGEN_FLOOR}")
     w = hermitian_eigenvalues(rho)
     w = np.clip(w, 0.0, 1.0)
     nz = w[w > 0.0]

@@ -218,7 +218,7 @@ class TestRun:
             (["run", "--protocol", "codebook", "--dim", "4", "--alice", "multistring:r=2.5"],
              "r must"),
             (["run", "--protocol", "codebook", "--dim", "257", "--construction", "simplex",
-              "--alice", "multistring:r=258"], "exceeds the Jacobi guard 256"),
+              "--alice", "multistring:r=258"], "dim 257 exceeds the guard 256"),
             (["sweep", "--metric", "codebook_bound", "--variable", "r", "--values", "0,2",
               "--epsilon", "0.25"], "r must"),
             (["sweep", "--metric", "codebook_bound", "--variable", "epsilon",

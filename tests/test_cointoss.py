@@ -17,7 +17,7 @@ from mistrustq.cointoss import (
     zero_prefix_score,
     zero_prefixes,
 )
-from mistrustq.errors import DomainError
+from mistrustq.errors import DomainError, TooLarge
 from mistrustq.harness import StrategyDescriptor, resolve_strategy, run_session
 
 SQ = math.sqrt(0.5)
@@ -404,10 +404,16 @@ class TestBestOfM:
         assert sum(spy.sizes) == trials * M * N
 
     # Above the cap the score array alone would pass 512 MB, and at 10**15 or
-    # 10**400 numpy itself would raise MemoryError or ValueError.
+    # 10**400 numpy itself would raise MemoryError or ValueError.  Below 1 or not
+    # an integer is a DomainError; above the cap, the size guard's TooLarge.
     @pytest.mark.parametrize(
         "trials", [0, -1, 2.5, math.nan, True, 2**26 + 1, 10**15, 10**400]
     )
     def test_trials_checked(self, trials):
-        with pytest.raises(DomainError, match="^trials must be"):
+        above = isinstance(trials, int) and trials > cointoss.MAX_TRIALS
+        error, message = (
+            (TooLarge, f"^trials {trials} exceeds the guard 67108864$")
+            if above else (DomainError, "^trials must be")
+        )
+        with pytest.raises(error, match=message):
             bob_best_of_M(CoinTossParams(M=2, N=4), np.random.default_rng(0), trials)

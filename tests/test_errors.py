@@ -1,10 +1,12 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mistrustq.errors import DomainError, check_int, check_real
+from mistrustq import bitwise, codebook, cointoss, qmath
+from mistrustq.errors import DomainError, TooLarge, check_int, check_real
 
 
 class TestCheckInt:
@@ -44,6 +46,70 @@ class TestCheckInt:
     def test_no_bounds_without_lo(self):
         assert check_int("target", -3) == -3
         assert check_int("target", 10**400) == 10**400
+
+    def test_guard_admits_its_own_value(self):
+        assert check_int("d", 256, 1, guard=256) == 256
+        assert check_int("d", 256.0, guard=256) == 256
+
+    def test_integral_float_above_the_guard_prints_as_an_int(self):
+        with pytest.raises(TooLarge) as exc:
+            check_int("d", 257.0, 1, guard=256)
+        assert str(exc.value) == "d 257 exceeds the guard 256"
+
+    @pytest.mark.parametrize("value", [True, math.nan, np.float64(math.nan)])
+    def test_integer_rule_comes_before_the_guard(self, value):
+        with pytest.raises(DomainError, match=r"^n must be an integer, got "):
+            check_int("n", value, guard=0)
+
+    def test_floor_comes_before_the_guard(self):
+        with pytest.raises(DomainError, match=r"^n must be >= 5$"):
+            check_int("n", 4, 5, guard=3)
+
+
+def _params(M, N):
+    return cointoss.CoinTossParams(M=M, N=N)
+
+
+# Each size guard, through a public function, one above the guard.  The
+# arguments are built first; the call itself may then allocate next to
+# nothing, where the unguarded work would allocate at least 1 MB.
+GUARDS = {
+    "session-n": (lambda: (bitwise.SecurityParams, 0.3, 10**6 + 1),
+                  "n 1000001 exceeds the guard 1000000"),
+    "ensemble-n": (lambda: (bitwise.bob_ensemble, 11, 0.3), "n 11 exceeds the guard 10"),
+    "codebook-d": (lambda: (codebook.random_codebook, 257, 256, 0.5, np.random.default_rng(0)),
+                   "d 257 exceeds the guard 256"),
+    "codebook-count": (
+        lambda: (codebook.random_codebook, 256, 257, 0.5, np.random.default_rng(0)),
+        "count 257 exceeds the guard 256"),
+    "simplex-d": (lambda: (codebook.simplex_codebook, 1025), "d 1025 exceeds the guard 1024"),
+    "report-dim": (
+        lambda: (codebook.bob_info_report, codebook.Codebook(257, np.eye(2, 257), 0.5)),
+        "dim 257 exceeds the guard 256"),
+    "pairs": (lambda: (_params, 2, 2**19 + 1), "M * N 1048578 exceeds the guard 1048576"),
+    "jacobi-dim": (lambda: (qmath.hermitian_eigen, qmath.HermitianOperator(np.eye(257))),
+                   "dim 257 exceeds the guard 256"),
+    "eigenvalues-dim": (
+        lambda: (qmath.hermitian_eigenvalues, qmath.HermitianOperator(np.eye(1025))),
+        "dim 1025 exceeds the guard 1024"),
+    "trials": (
+        lambda: (cointoss.bob_best_of_M, _params(2, 4), np.random.default_rng(0), 2**26 + 1),
+        "trials 67108865 exceeds the guard 67108864"),
+}
+
+
+@pytest.mark.parametrize("make,message", GUARDS.values(), ids=GUARDS.keys())
+def test_size_guards(make, message):
+    func, *args = make()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge) as exc:
+            func(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 2**16
 
 
 class TestCheckReal:

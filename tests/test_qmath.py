@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mistrustq import bitwise, qmath
 from mistrustq.errors import (
@@ -12,7 +13,6 @@ from mistrustq.errors import (
     ZeroVector,
 )
 from mistrustq.qmath import (
-    DensityMatrix,
     HermitianOperator,
     StateVector,
     binary_entropy,
@@ -218,6 +218,15 @@ class TestHermitianEigenvalues:
             with pytest.raises(DomainError, match="non-finite"):
                 HermitianOperator(np.array(m))
 
+    def test_hermitian_check_is_relative(self):
+        # Under an absolute 1e-12 this was accepted, and Jacobi then ended in
+        # NoConvergence after 100 sweeps.
+        with pytest.raises(DomainError, match="deviates from Hermitian by 1e-13"):
+            HermitianOperator(np.array([[0, 1e-13], [0, 0]]))
+        # A deviation of 1e-13 times the largest entry passes at any scale.
+        for scale in (1e-200, 1.0, 1e200):
+            HermitianOperator(scale * np.array([[1.0, 1.0 + 1e-13], [1.0, 0.0]]))
+
     def test_size_guard(self):
         n = qmath.MAX_EIGENVALUES_DIM + 1
         with pytest.raises(TooLarge):
@@ -311,24 +320,24 @@ class TestEntropy:
 
     def test_binary_entropy_matches_eigendecomposition(self):
         # oracle: direct spectral entropy of the corresponding diagonal state
-        rho = DensityMatrix(np.diag([0.55, 0.45]))
+        rho = HermitianOperator(np.diag([0.55, 0.45]))
         assert binary_entropy(0.55) == pytest.approx(
             von_neumann_entropy(rho), abs=1e-12
         )
 
     def test_pure_state_zero(self):
         v = haar(3, np.random.default_rng(5))
-        assert von_neumann_entropy(DensityMatrix(proj(v))) == pytest.approx(
+        assert von_neumann_entropy(HermitianOperator(proj(v))) == pytest.approx(
             0, abs=1e-9
         )
 
     def test_maximally_mixed(self):
-        assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(1)
+        assert von_neumann_entropy(HermitianOperator(np.eye(2) / 2)) == pytest.approx(1)
 
     def test_two_state_mixture_analytic(self):
         # eigenvalues of the equal two-state mixture are (1 +/- sin theta)/2
         theta = 0.3
-        rho = DensityMatrix(0.5 * (proj(psi(0, theta)) + proj(psi(1, theta))))
+        rho = HermitianOperator(0.5 * (proj(psi(0, theta)) + proj(psi(1, theta))))
         expected = binary_entropy((1 + math.sin(theta)) / 2)
         assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-9)
 
@@ -342,37 +351,100 @@ class TestEntropy:
         weights = rng.dirichlet(np.ones(d))
         for w in weights:
             rho += w * proj(haar(d, rng))
-        S = von_neumann_entropy(DensityMatrix(rho))
+        S = von_neumann_entropy(HermitianOperator(rho))
         assert -1e-9 <= S <= math.log2(d) + 1e-9
 
 
 class TestDensityMatrix:
+    """von_neumann_entropy's density check on a HermitianOperator: the size
+    guard, then trace 1, then numpy's independent eigvalsh PSD check."""
+
+    @staticmethod
+    def entropy(m):
+        return von_neumann_entropy(HermitianOperator(np.array(m)))
+
     def test_is_a_read_only_hermitian_operator(self):
-        rho = DensityMatrix(np.eye(2) / 2)
-        assert isinstance(rho, HermitianOperator)
-        assert rho.dim == 2 and not rho.entries.flags.writeable
+        rho = bitwise.bob_ensemble(2, 0.3)
+        assert type(rho) is HermitianOperator
+        assert rho.dim == 4 and not rho.entries.flags.writeable
+        assert self.entropy(np.eye(2) / 2) == pytest.approx(1)
 
     def test_rejects_non_square(self):
         with pytest.raises(DimMismatch):
-            DensityMatrix(np.ones((2, 3)) / 2)
+            self.entropy(np.ones((2, 3)) / 2)
 
     def test_rejects_empty(self):
         with pytest.raises(DimMismatch):
-            DensityMatrix(np.zeros((0, 0)))
+            self.entropy(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("x", NON_FINITE)
     def test_rejects_non_finite(self, x):
+        # A NaN trace would pass the trace comparison, so HermitianOperator's
+        # check must come first.
         with pytest.raises(DomainError, match="non-finite"):
-            DensityMatrix(np.array([[x, 0], [0, 1.0]]))
+            self.entropy([[x, 0], [0, 1.0]])
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises((DomainError, DimMismatch)):
-            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        with pytest.raises(DomainError, match="Hermitian"):
+            self.entropy([[0.5, 0.5], [0.0, 0.5]])
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(DomainError):
-            DensityMatrix(np.eye(2))
+        with pytest.raises(DomainError, match="^trace"):
+            self.entropy(np.eye(2))
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(DomainError):
-            DensityMatrix(np.diag([1.5, -0.5]))
+        with pytest.raises(DomainError, match="^negative eigenvalue"):
+            self.entropy(np.diag([1.5, -0.5]))
+
+    def test_checks_run_once(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        assert self.entropy(np.eye(4) / 4) == pytest.approx(2)
+        assert calls == [1]
+
+    def test_size_guard_comes_before_eigvalsh(self, monkeypatch):
+        # At dim 2048 eigvalsh alone ran for 2-3 s before the guard was reached.
+        rho = HermitianOperator(np.eye(qmath.MAX_EIGENVALUES_DIM + 1))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh ran"))
+        with pytest.raises(TooLarge, match="^dim 1025 exceeds the guard 1024$"):
+            von_neumann_entropy(rho)
+
+
+class TestScaleSafety:
+    """Both kernels scale input whose largest real or imaginary part is outside
+    [2**-450, 2**500] by an exact power of two, and unscale the eigenvalues."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(-1000, 1000))
+    @example(17, -501)  # Jacobi broke the property here with the range's end at 2**-500
+    @example(17, -451)  # the largest part in [2**-450, 2**-449): not scaled
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, seed, k):
+        # Jacobi is relatively accurate (Demmel & Veselic, SIAM J. Matrix Anal.
+        # Appl. 13(4), 1992), so 2**k H must give 2**k times H's result exactly.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = (M + M.conj().T) / 2
+        parts = np.ldexp(H.view(float), k)
+        assume(np.isfinite(parts).all())
+        assume((np.abs(parts[parts != 0]) >= sys.float_info.min).all())
+        H, Hk = HermitianOperator(H), HermitianOperator(parts.view(complex))
+        w, V = hermitian_eigen(H)
+        wk, Vk = hermitian_eigen(Hk)
+        assert (wk == np.ldexp(w, k)).all() and (Vk == V).all()
+        w = hermitian_eigenvalues(H)
+        assert (hermitian_eigenvalues(Hk) == np.ldexp(w, k)).all()
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    def test_off_diagonal_pair(self, s):
+        # Unscaled, 1e-200 gave [0, 0] and NaN, and 1e200 overflowed.
+        H = HermitianOperator(np.array([[0, s], [s, 0]]))
+        np.testing.assert_allclose(hermitian_eigen(H).eigenvalues, [s, -s], rtol=1e-15)
+        np.testing.assert_allclose(hermitian_eigenvalues(H), [s, -s], rtol=1e-15)
+
+    def test_in_range_input_keeps_its_bits(self):
+        # At the range's ends nothing is scaled, so the kernels see the input as is.
+        for peak in (2.0**-450, 2.0**500):
+            entries = HermitianOperator(np.diag([peak, -peak / 3])).entries
+            assert qmath._scaled(entries)[0] is entries
