@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LengthMismatch, Unbounded, check_int, check_real
+from .errors import DomainError, check_int, check_real
 from . import qmath
 from .qmath import HermitianOperator, StateVector
 
@@ -55,7 +55,7 @@ def _encode(bits: str, theta: float) -> np.ndarray:
 def encode_string(bits: str, params: SecurityParams) -> np.ndarray:
     """Commitment to a string: one encoded qubit per bit, as an (n, 2) array."""
     if len(bits) != params.n:
-        raise LengthMismatch(f"got {len(bits)} bits, params.n is {params.n}")
+        raise DomainError(f"got {len(bits)} bits, params.n is {params.n}")
     return _encode(bits, params.theta)
 
 
@@ -71,8 +71,8 @@ def verify_unveil(
     one uniform draw; returns the first failing position, or None if every
     qubit passes.
     """
-    if len(claimed) != len(held):
-        raise LengthMismatch(f"claimed {len(claimed)} bits for {len(held)} qubits")
+    if np.shape(held) != (len(claimed), 2):
+        raise DomainError(f"held shape {np.shape(held)} does not fit {len(claimed)} bits")
     probs = np.abs((_encode(claimed, theta).conj() * held).sum(axis=1)) ** 2
     for i, p in enumerate(probs):
         if not rng.random() < p:
@@ -146,13 +146,13 @@ def min_n_for(r: int, theta: float) -> int:
 
     Exact for the float per-qubit gap g = num / den: floor(r / g) + 1 is
     r * den // num + 1 in integer arithmetic, which also keeps answers above
-    2**53 exact.  Unbounded where g is below the smallest normal float
+    2**53 exact.  DomainError where g is below the smallest normal float
     (theta below about 1.76e-154).
     """
     r = check_int("r", r, 1)
     per_qubit = _qubit_gap(theta)
     if per_qubit < sys.float_info.min:
-        raise Unbounded(f"per-qubit gap {per_qubit} is not a normal float at theta {theta}")
+        raise DomainError(f"per-qubit gap {per_qubit} is not a normal float at theta {theta}")
     num, den = per_qubit.as_integer_ratio()
     return r * den // num + 1
 

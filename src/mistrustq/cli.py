@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bitwise, codebook, cointoss
-from .errors import InvalidSpec, SimulationError, check_int
+from .errors import DomainError, SimulationError, check_int
 from .harness import (
     PROTOCOLS,
     StrategyDescriptor,
@@ -65,7 +65,7 @@ def _number(key: str, text: str):
     for kind in (int, float):
         with contextlib.suppress(ValueError):
             return kind(text)
-    raise InvalidSpec(f"strategy parameter {key}={text!r} is not a number")
+    raise DomainError(f"strategy parameter {key}={text!r} is not a number")
 
 
 def _parse_strategy(party: str, text: str) -> StrategyDescriptor:
@@ -74,6 +74,8 @@ def _parse_strategy(party: str, text: str) -> StrategyDescriptor:
     if paramtext:
         for item in paramtext.split(","):
             k, _, v = item.partition("=")
+            if k in params:
+                raise DomainError(f"strategy parameter {k} given twice")
             params[k] = _number(k, v)
     return StrategyDescriptor(party=party, name=name, parameters=params)
 
@@ -194,27 +196,27 @@ SWEEP_METRICS = {
 
 
 def cmd_sweep(args) -> int:
-    """One row per value; InvalidSpec for a variable the metric does not
+    """One row per value; DomainError for a variable the metric does not
     read, whose rows would all be the same."""
     variable = args.variable
     reads, compute = SWEEP_METRICS[args.metric]
     try:
         values = _comma_list(float)(args.values)
     except ValueError:
-        raise InvalidSpec(f"--values {args.values!r} is not a number list") from None
+        raise DomainError(f"--values {args.values!r} is not a number list") from None
     check_int("trials", args.trials, 1, guard=cointoss.MAX_TRIALS)
     if variable in SWEEP_FLAGS and SWEEP_FLAGS[variable][1] is int:
         if not all(v.is_integer() for v in values):
-            raise InvalidSpec(f"{variable} takes integers, got {values}")
+            raise DomainError(f"{variable} takes integers, got {values}")
         values = [int(v) for v in values]
     if variable not in reads:
-        raise InvalidSpec(
+        raise DomainError(
             f"metric {args.metric} does not read {variable!r}; it reads {', '.join(reads)}"
         )
     p = {key: getattr(args, key) for key in reads}
     for key in reads:
         if key != variable and p[key] is None:
-            raise InvalidSpec(f"this sweep needs {SWEEP_FLAGS[key][0]}")
+            raise DomainError(f"this sweep needs {SWEEP_FLAGS[key][0]}")
     rows = []
     for value in values:
         p[variable] = value

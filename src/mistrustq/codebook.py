@@ -16,14 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    DuplicateTargets,
-    IndexOutOfRange,
-    PackingFailure,
-    check_int,
-    check_real,
-)
+from .errors import DomainError, PackingFailure, check_int, check_real
 from . import qmath
 from .qmath import HermitianOperator, StateVector
 
@@ -90,9 +83,7 @@ class Codebook:
 
     def state(self, index: int) -> np.ndarray:
         """The codeword of a string index (a read-only row of vectors)."""
-        if not (0 <= index < self.count):
-            raise IndexOutOfRange(f"index {index} outside [0, {self.count})")
-        return self.vectors[index]
+        return self.vectors[check_int("index", index, 0, self.count - 1)]
 
 
 @dataclass(frozen=True)
@@ -200,14 +191,11 @@ def verify_unveil(
 
 
 def _check_targets(codebook: Codebook, targets) -> tuple[int, ...]:
-    targets = tuple(check_int("target", t) for t in targets)
+    targets = tuple(check_int("target", t, 0, codebook.count - 1) for t in targets)
     if len(set(targets)) != len(targets):
-        raise DuplicateTargets(f"repeated indices in {targets}")
+        raise DomainError(f"repeated indices in {targets}")
     if not targets:
         raise DomainError("target set must be nonempty")
-    for t in targets:
-        if not (0 <= t < codebook.count):
-            raise IndexOutOfRange(f"target {t} outside [0, {codebook.count})")
     return targets
 
 

@@ -7,20 +7,8 @@ class SimulationError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroVector(SimulationError):
-    """A vector with (numerically) zero norm cannot be normalized."""
-
-
-class DimMismatch(SimulationError):
-    """Operands have incompatible dimensions."""
-
-
 class DomainError(SimulationError):
-    """A scalar argument lies outside its admissible range."""
-
-
-class LengthMismatch(SimulationError):
-    """Bit strings or sequences have inconsistent lengths."""
+    """A bad argument: a value, shape, length, index or spec outside its domain."""
 
 
 class NoConvergence(SimulationError):
@@ -31,20 +19,8 @@ class TooLarge(SimulationError):
     """A requested size exceeds its guard (raised by check_int alone)."""
 
 
-class Unbounded(SimulationError):
-    """No finite parameter value satisfies the request at this precision."""
-
-
 class PackingFailure(SimulationError):
     """Could not pack the requested number of low-overlap vectors."""
-
-
-class IndexOutOfRange(SimulationError):
-    """A codebook index is outside the valid range."""
-
-
-class DuplicateTargets(SimulationError):
-    """A target index set contains repeated entries."""
 
 
 class UnknownStrategy(SimulationError):
@@ -57,10 +33,6 @@ class ProtocolViolation(SimulationError):
 
 class DeserializeError(SimulationError):
     """A serialized transcript could not be parsed."""
-
-
-class InvalidSpec(SimulationError):
-    """A sweep specification violates its invariants."""
 
 
 def check_int(name: str, value, lo: int | None = None, hi: int | None = None, *,

@@ -19,14 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    DomainError,
-    NoConvergence,
-    ZeroVector,
-    check_int,
-    check_real,
-)
+from .errors import DomainError, NoConvergence, check_int, check_real
 
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
@@ -73,7 +66,7 @@ class StateVector:
         a = _read_only(np.reshape(self.amplitudes, -1))
         object.__setattr__(self, "amplitudes", a)
         if self.dim < 1:
-            raise DimMismatch("state vector must have dimension >= 1")
+            raise DomainError("state vector must have dimension >= 1")
         norm = np.linalg.norm(a)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise DomainError(f"state vector norm {norm} is not 1 within {NORM_TOL}")
@@ -92,7 +85,7 @@ class HermitianOperator:
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-            raise DimMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
+            raise DomainError(f"expected a nonempty square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise DomainError("matrix has a non-finite entry")
         object.__setattr__(self, "entries", _read_only(m))
@@ -120,7 +113,7 @@ def ket(amplitudes) -> StateVector:
     if not np.isfinite(peak):
         raise DomainError("cannot normalize a non-finite vector")
     if peak == 0:
-        raise ZeroVector("cannot normalize a zero vector")
+        raise DomainError("cannot normalize a zero vector")
     if not 1e-150 <= peak <= 1e150:  # unscaled squares would leave the float range
         a = (a.view(float) / peak).view(complex)
     return StateVector(a / np.linalg.norm(a))

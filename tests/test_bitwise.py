@@ -8,7 +8,7 @@ import pytest
 
 from mistrustq import bitwise, qmath
 from mistrustq.bitwise import SecurityParams
-from mistrustq.errors import DomainError, LengthMismatch, TooLarge, Unbounded
+from mistrustq.errors import DomainError, TooLarge
 
 
 def h2(p):
@@ -60,7 +60,7 @@ class TestEncodeCommit:
         np.testing.assert_allclose(c[1], [math.sin(0.3), math.cos(0.3)])
 
     def test_commit_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DomainError, match="^got 2 bits, params.n is 3$"):
             bitwise.encode_string("01", SecurityParams(theta=0.3, n=3))
 
     def test_commit_rejects_non_bits(self):
@@ -92,8 +92,16 @@ class TestUnveil:
 
     def test_wrong_length(self):
         held = bitwise.encode_string("01", SecurityParams(theta=0.3, n=2))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DomainError, match=r"^held shape \(2, 2\) does not fit 3 bits$"):
             bitwise.verify_unveil(held, "011", 0.3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3)])
+    def test_held_shape(self, shape):
+        # Unchecked, a (2,) array would broadcast into meaningless probabilities
+        # and a (2, 3) one would end in numpy's ValueError.
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match=f"^held shape {re.escape(str(shape))} "):
+            bitwise.verify_unveil(np.ones(shape, dtype=complex), "01", 0.3, rng)
 
     def test_one_draw_per_qubit_up_to_first_failure(self):
         # qubit i passes iff its uniform draw is below sin^2(theta)
@@ -245,7 +253,7 @@ class TestInaccessibleBits:
 
     def test_unbounded_at_tiny_theta(self):
         # The per-qubit gap at 1e-200 (about 7e-401) is not a normal float.
-        with pytest.raises(Unbounded):
+        with pytest.raises(DomainError, match="^per-qubit gap .* is not a normal float"):
             bitwise.min_n_for(1, 1e-200)
 
     def test_finite_at_small_theta(self):

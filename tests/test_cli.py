@@ -240,11 +240,13 @@ class TestRun:
             (["run", "--protocol", "codebook", "--dim", "257"], "d 257 exceeds the guard 256"),
             (["run", "--protocol", "codebook", "--count", "257"],
              "count 257 exceeds the guard 256"),
-            (["run", "--protocol", "codebook", "--construction", "simplex", "--dim", "1025"],
-             "d 1025 exceeds the guard 1024"),
             (["run", "--protocol", "cointoss", "--bob", "best_of_m:x=1"], "takes no parameters"),
             (["run", "--protocol", "bitwise", "--alice", "honest:rng=1"],
              "unexpected keyword argument 'rng'"),
+            (["run", "--protocol", "codebook", "--construction", "simplex", "--dim", "1025"],
+             "d 1025 exceeds the guard 1024"),
+            (["run", "--protocol", "cointoss", "--alice", "tamper:fraction=1,fraction=0"],
+             "error: strategy parameter fraction given twice\n"),
         ],
         ids=["trials-0", "unknown-param", "non-number", "fraction-2",
              "advantage-no-pairs", "detection-no-pairs", "reveal-bit-2",
@@ -254,7 +256,7 @@ class TestRun:
              "dim-0", "dim-negative", "sweep-M-above-pair-guard", "pairs-above-pair-guard",
              "n-above-session-guard", "dim-above-codebook-guard",
              "count-above-codebook-guard", "bob-parameter", "alice-positional-name",
-             "simplex-dim-above-guard"],
+             "simplex-dim-above-guard", "parameter-given-twice"],
     )
     def test_bad_input_runtime_error(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv, "--seed", "1")

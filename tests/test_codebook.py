@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,13 +15,7 @@ from mistrustq.codebook import (
     simplex_codebook,
     verify_unveil,
 )
-from mistrustq.errors import (
-    DomainError,
-    DuplicateTargets,
-    IndexOutOfRange,
-    PackingFailure,
-    TooLarge,
-)
+from mistrustq.errors import DomainError, PackingFailure, TooLarge
 
 
 @pytest.fixture(scope="module")
@@ -184,10 +179,21 @@ class TestCommitUnveil:
         np.testing.assert_allclose(packed16.state(0), packed16.vectors[0])
 
     def test_out_of_range(self, packed16):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DomainError, match=r"^index must be in \[0, 31\]$"):
             packed16.state(packed16.count)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DomainError, match=r"^index must be in \[0, 31\]$"):
             verify_unveil(packed16, packed16.state(0), -1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [True, 1.5, "0"])
+    def test_non_integral_index(self, bad):
+        # Unchecked, True would read as row 1, 1.5 would end in numpy's
+        # IndexError and "0" in a TypeError.
+        cb = simplex_codebook(3)
+        message = rf"^index must be an integer in \[0, 3\], got {re.escape(repr(bad))}$"
+        with pytest.raises(DomainError, match=message):
+            cb.state(bad)
+        with pytest.raises(DomainError, match=message):
+            verify_unveil(cb, cb.state(0), bad, np.random.default_rng(0))
 
     def test_dimension_mismatch(self, packed16):
         with pytest.raises(DomainError):
@@ -241,25 +247,25 @@ class TestCheatOperator:
             assert np.trace(Q.entries).real == pytest.approx(len(targets), abs=1e-9)
 
     def test_duplicate_targets(self, packed16):
-        with pytest.raises(DuplicateTargets):
+        with pytest.raises(DomainError, match=r"^repeated indices in \(1, 1, 2\)$"):
             cheat_operator(packed16, [1, 1, 2])
 
 
 class TestMultistringCheat:
     @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, "1", None])
     def test_non_integral_target(self, bad):
-        with pytest.raises(DomainError, match="target must be an integer, got"):
+        with pytest.raises(DomainError, match=r"^target must be an integer in \[0, 4\], got"):
             optimal_multistring_cheat(simplex_codebook(4), [0, bad])
 
     @pytest.mark.parametrize("bad", [-1, 5, 5.0])
     def test_integral_target_out_of_range(self, bad):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DomainError, match=r"^target must be in \[0, 4\]$"):
             optimal_multistring_cheat(simplex_codebook(4), [0, bad])
 
     def test_integral_float_targets(self):
         cb = simplex_codebook(4)
         assert optimal_multistring_cheat(cb, [0.0, 2.0]).target_indices == (0, 2)
-        with pytest.raises(DuplicateTargets):
+        with pytest.raises(DomainError, match=r"^repeated indices in \(1, 1\)$"):
             optimal_multistring_cheat(cb, [1, 1.0])
 
     def test_single_target_total_one(self, packed16):

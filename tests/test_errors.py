@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from mistrustq import bitwise, codebook, cointoss, qmath
-from mistrustq.errors import DomainError, TooLarge, check_int, check_real
+from mistrustq.errors import DomainError, SimulationError, TooLarge, check_int, check_real
+
+
+def test_one_class_per_kind_of_failure():
+    # A bad argument of any shape is a DomainError; a new class must be a new kind.
+    assert {c.__name__ for c in SimulationError.__subclasses__()} == {
+        "DomainError", "TooLarge", "NoConvergence", "PackingFailure",
+        "DeserializeError", "UnknownStrategy", "ProtocolViolation",
+    }
 
 
 class TestCheckInt:
