@@ -46,10 +46,10 @@ def _check_theta(theta: float) -> float:
 def _encode(bits: str, theta: float) -> np.ndarray:
     """(len(bits), 2) array whose row i is the encoding of bits[i]."""
     theta = _check_theta(theta)
-    if not set(bits) <= {"0", "1"}:
-        raise DomainError(f"bits must be 0 or 1, got {bits!r}")
+    if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
+        raise DomainError(f"bits must be a string of 0 and 1, got {bits!r}")
     psi = np.array([[1.0, 0.0], [math.sin(theta), math.cos(theta)]], dtype=complex)
-    return psi[[int(b) for b in bits]]
+    return psi[np.frombuffer(bits.encode(), np.uint8) - ord("0")]
 
 
 def encode_string(bits: str, params: SecurityParams) -> np.ndarray:
@@ -68,16 +68,14 @@ def verify_unveil(
     """Measure each held qubit against the claimed encoding, in order.
 
     Qubit i passes with probability |<psi_claimed[i]|held[i]>|^2, decided by
-    one uniform draw; returns the first failing position, or None if every
-    qubit passes.
+    uniform i of one rng.random(n) draw; returns the first failing position, or
+    None if every qubit passes.
     """
     if np.shape(held) != (len(claimed), 2):
         raise DomainError(f"held shape {np.shape(held)} does not fit {len(claimed)} bits")
     probs = np.abs((_encode(claimed, theta).conj() * held).sum(axis=1)) ** 2
-    for i, p in enumerate(probs):
-        if not rng.random() < p:
-            return i
-    return None
+    failed = ~(rng.random(len(probs)) < probs)
+    return int(np.argmax(failed)) if failed.any() else None
 
 
 def cheat_bound(theta: float) -> float:

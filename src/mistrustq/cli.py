@@ -151,20 +151,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _advantage(p: dict, rng, trials: int, seed: int) -> tuple[float, float]:
-    scores = cointoss.bob_best_of_M(cointoss.CoinTossParams(M=p["M"], N=p["N"]), rng, trials)
-    return float(np.mean(scores)), float(np.std(scores) / math.sqrt(trials))
-
-
-def _detection(p: dict, rng, trials: int, seed: int) -> tuple[float, float]:
-    params = {"M": p["M"], "N": p["N"]}
-    alice = StrategyDescriptor("alice", "tamper", {"fraction": p["tamper_fraction"]})
-    bob = StrategyDescriptor("bob", "honest")
-    public = PROTOCOLS["CoinToss"]["public"](params, seed)  # checked once, as in cmd_run
-    sessions = (run_session("CoinToss", params, alice, bob, seed, rng=rng, public=public)
-                for _ in range(trials))
-    mean = sum(t.verdict == "CheatDetected" for t in sessions) / trials
-    return mean, math.sqrt(mean * (1 - mean) / trials)
+def _mean_stderr(scores: np.ndarray) -> tuple[float, float]:
+    """A Monte Carlo row: the mean of per-trial scores and its standard error."""
+    return float(np.mean(scores)), float(np.std(scores) / math.sqrt(len(scores)))
 
 
 # Each sweep parameter: its flag and its type.  A sweep over an int parameter
@@ -179,7 +168,7 @@ SWEEP_FLAGS = {
     "tamper_fraction": ("--tamper-fraction", float),
 }
 # Each sweep metric: the parameters it reads, all required, and
-# (params, rng, trials, seed) -> (mean, stderr) at one sweep value.
+# (params, rng, trials) -> (mean, stderr) at one sweep value.
 SWEEP_METRICS = {
     "cheat_bound": (("theta",), lambda p, *_: (bitwise.cheat_bound(p["theta"]), 0.0)),
     "bob_entropy": (
@@ -190,8 +179,11 @@ SWEEP_METRICS = {
         ("r", "epsilon"),
         lambda p, *_: (codebook.cheat_bound(p["r"], p["epsilon"]), 0.0),
     ),
-    "advantage": (("M", "N"), _advantage),
-    "detection": (("M", "N", "tamper_fraction"), _detection),
+    "advantage": (("M", "N"), lambda p, rng, trials: _mean_stderr(
+        cointoss.bob_best_of_M(cointoss.CoinTossParams(p["M"], p["N"]), rng, trials))),
+    "detection": (("M", "N", "tamper_fraction"), lambda p, rng, trials: _mean_stderr(
+        cointoss.tamper_detected(cointoss.CoinTossParams(p["M"], p["N"]),
+                                 p["tamper_fraction"], rng, trials))),
 }
 
 
@@ -221,7 +213,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         p[variable] = value
         rng = rng_stream(args.seed, f"sweep:{variable}={value}")
-        mean, stderr = compute(p, rng, args.trials, args.seed)
+        mean, stderr = compute(p, rng, args.trials)
         rows.append({variable: value, "trials": args.trials, "mean": mean, "stderr": stderr})
     _write_rows(rows, args.format, args.out)
     return 0

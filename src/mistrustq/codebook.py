@@ -184,7 +184,7 @@ def verify_unveil(
 ) -> bool:
     """Measure the held state against the claimed codeword: accepted with
     probability |<v_claimed|held>|^2, decided by one uniform draw."""
-    if held.shape != (codebook.dim,):
+    if np.shape(held) != (codebook.dim,):
         raise DomainError("committed state dimension does not match codebook")
     p = abs(np.vdot(codebook.state(claimed), held)) ** 2
     return bool(rng.random() < p)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check_int, check_real
 
 # Bell basis rows: Phi+, Phi-, Psi+, Psi- (singlet last).
 _BELL = np.array(
@@ -66,26 +66,37 @@ def singlet_batches(params: CoinTossParams) -> np.ndarray:
     return np.tile(singlet(), (params.M, params.N, 1))
 
 
-def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One outcome index per row of (unnormalized) probabilities."""
-    probs /= probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(len(probs))
-    return (cum < u[:, None]).sum(axis=1)
+def _sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One outcome index per last-axis row of fresh (..., 4) unnormalized
+    probabilities, one uniform per row in order."""
+    rows = probs.reshape(-1, 4)
+    rows /= rows.sum(axis=1, keepdims=True)
+    u = rng.random(len(rows))
+    return (np.cumsum(rows, axis=1) < u[:, None]).sum(axis=1).reshape(probs.shape[:-1])
 
 
-def singlet_test(batch: np.ndarray, rng: np.random.Generator) -> bool:
-    """Bell-basis measurement of every pair of an (N, 4) batch; pass iff
-    every outcome is the singlet."""
-    outcomes = _sample_rows(np.abs(batch @ _BELL.conj().T) ** 2, rng)
-    return bool((outcomes == SINGLET_OUTCOME).all())
+def singlet_test(batches: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Bell-basis measurement of every pair of a (..., N, 4) stack of batches, one
+    uniform per pair in order; per batch, whether every outcome is the singlet."""
+    return (_sample(np.abs(batches @ _BELL.conj().T) ** 2, rng) == SINGLET_OUTCOME).all(-1)
+
+
+def tampered(shape: tuple, fraction: float, target_bit: int, rng) -> np.ndarray:
+    """Singlet batches of pairs shape = (..., N) in which each batch's k =
+    ceil(fraction * N) pairs at the k smallest values of one rng.random(shape)
+    draw are the product state that forces Alice's bit to target_bit."""
+    k = math.ceil(check_real("fraction", fraction, 0, 1) * shape[-1])
+    target_bit = check_int("target_bit", target_bit, 0, 1)
+    batches = np.tile(singlet(), (*shape, 1))
+    picked = np.argpartition(rng.random(shape), k - 1, axis=-1)[..., :k, None]  # k = 0: none
+    np.put_along_axis(batches, picked, product_pair(target_bit, 1 - target_bit), axis=-2)
+    return batches
 
 
 def measure_z(batches: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Joint sigma_z outcome 2*alice_bit + bob_bit per pair of a (..., 4)
     array, one uniform per pair in order; +1 maps to bit 0."""
-    outcomes = _sample_rows(np.abs(batches.reshape(-1, 4)) ** 2, rng)
-    return outcomes.reshape(batches.shape[:-1])
+    return _sample(np.abs(batches) ** 2, rng)
 
 
 def bit_strings(outcomes: np.ndarray) -> tuple[str, str]:
@@ -116,8 +127,8 @@ def zero_prefixes(bits: np.ndarray) -> np.ndarray:
 # Trials of one `run` or sweep value, and scores of one bob_best_of_M call (512 MB of
 # float64).  At 40-170 us per trial (default sizes, 2 x86-64 cores) that is 1-3 h.
 MAX_TRIALS = 2**26
-# Values per draw of bob_best_of_M, or one session's M * N if larger.  Draws of
-# 2**16 int64 values raised the toss benchmark's peak RSS by 0.9 MB; 2**14 did not.
+# Values per bob_best_of_M draw and amplitudes per tamper_detected chunk, or one session's
+# if more.  2**16 int64 draws raised the toss benchmark's peak RSS by 0.9 MB; 2**14 did not.
 DRAW_CHUNK = 2**14
 
 
@@ -133,3 +144,18 @@ def bob_best_of_M(
         bits = rng.integers(0, 2, size=(min(step, len(scores) - i), params.M, params.N))
         scores[i : i + len(bits)] = zero_prefixes(bits).max(-1)
     return scores
+
+
+def tamper_detected(params: CoinTossParams, fraction: float, rng, trials: int) -> np.ndarray:
+    """Whether an honest Bob catches each of 1 <= trials <= MAX_TRIALS sessions
+    against a tampering Alice; the mean tracks 1 - 2^-k(M-1), k = ceil(fraction N).
+    Each chunk of sessions draws, in order, its tampered((t, M, N)) batches, the
+    kept batches rng.integers(M, size=t) and one singlet_test of the tested ones."""
+    detected = np.empty(check_int("trials", trials, 1, guard=MAX_TRIALS), dtype=bool)
+    M, N = params.M, params.N
+    step = max(1, DRAW_CHUNK // (4 * M * N))  # a pair holds 4 amplitudes
+    for i in range(0, len(detected), step):
+        batches = tampered((min(step, len(detected) - i), M, N), fraction, 0, rng)
+        tested = batches[np.arange(M) != rng.integers(M, size=len(batches))[:, None]]
+        detected[i : i + len(batches)] = ~singlet_test(tested, rng).reshape(-1, M - 1).all(-1)
+    return detected

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bitwise, codebook, cointoss, qmath
 from .errors import (
-    DeserializeError, DomainError, ProtocolViolation, UnknownStrategy, check_int, check_real
+    DeserializeError, DomainError, ProtocolViolation, UnknownStrategy, check_int
 )
 
 FORMAT_VERSION = 1
@@ -179,7 +179,7 @@ def _send_verdict(t: Transcript, failing_index) -> None:
 
 
 def _honest_bitwise(params, rng, /):
-    bits = "".join(str(b) for b in rng.integers(0, 2, size=params.n))
+    bits = (rng.integers(0, 2, size=params.n).astype(np.uint8) + ord("0")).tobytes().decode()
     return bitwise.encode_string(bits, params), bits
 
 
@@ -258,17 +258,8 @@ def _honest_toss(params, rng, /) -> np.ndarray:
 
 
 def _tamper(params, rng, /, *, fraction=1.0, target_bit=0) -> np.ndarray:
-    """Replaces k = ceil(fraction * N) pairs of each batch with the product
-    state that forces her own bit to target_bit."""
-    fraction = check_real("fraction", fraction, 0, 1)
-    target_bit = check_int("target_bit", target_bit, 0, 1)
-    k = math.ceil(fraction * params.N)
-    bad = cointoss.product_pair(target_bit, 1 - target_bit)
-    batches = cointoss.singlet_batches(params)
-    # The k smallest of each row of one uniform (M, N) draw; k = 0 picks none.
-    picked = np.argpartition(rng.random((params.M, params.N)), k - 1, axis=1)[:, :k]
-    batches[np.arange(params.M)[:, None], picked] = bad
-    return batches
+    """Forces her own bit to target_bit in k = ceil(fraction * N) pairs per batch."""
+    return cointoss.tampered((params.M, params.N), fraction, target_bit, rng)
 
 
 def _tamper_one_batch(params, rng, /, *, batch_index=0, target_bit=0) -> np.ndarray:
@@ -292,18 +283,14 @@ def _run_cointoss(params, alice, cheating: bool, rng, t: Transcript) -> None:
         kept = int(np.argmax(cointoss.zero_prefixes(outcomes & 1)))
         measured = cointoss.bit_strings(outcomes[kept])
     else:
-        measured = None
-        kept = int(rng.integers(params.M))
+        measured, kept = None, int(rng.integers(params.M))
     test = [i for i in range(params.M) if i != kept]
     t.append("bob", "choose", {"kept": kept, "test": test})
     t.append("alice", "open", {"batches": test})
 
-    failed = None
-    if not cheating:
-        for i in test:
-            if not cointoss.singlet_test(batches[i], rng):
-                failed = i
-                break
+    # A cheating Bob tests nothing; an honest one measures every opened batch at once.
+    passed = cheating or cointoss.singlet_test(batches[test], rng)
+    failed = None if np.all(passed) else test[int(np.argmin(passed))]
     t.append("bob", "test_result", {"passed": failed is None, "failed_batch": failed})
     if failed is not None:
         t.verdict = "CheatDetected"
@@ -388,15 +375,13 @@ def run_session(
     bob: StrategyDescriptor,
     seed: int,
     *,
-    rng: np.random.Generator | None = None,
     public=None,
 ) -> Transcript:
     """Drive one protocol session to a terminal verdict.
 
     Deterministic: equal inputs give byte-identical serialized transcripts.
-    rng: draw from the caller's generator instead of the session stream of
-    seed, which is then only recorded (and seeds a CodebookCommit codebook
-    whose params carry no codebook_seed).
+    Every draw comes from the session stream of seed, which no other session
+    shares.
     public: the session's public input, PROTOCOLS[protocol]["public"](params,
     seed); the session builds it, after resolving the strategies, when absent.
     """
@@ -414,8 +399,6 @@ def run_session(
         public = entry["public"](params, seed) if public is None else public
     except KeyError as exc:
         raise DomainError(f"params have no key {exc}") from None
-    if rng is None:
-        rng = rng_stream(seed, "session")
     t = Transcript(protocol=protocol, params=params, seed=seed)
-    entry["driver"](public, alice_fn, cheating, rng, t)
+    entry["driver"](public, alice_fn, cheating, rng_stream(seed, "session"), t)
     return t

@@ -67,6 +67,17 @@ class TestEncodeCommit:
         with pytest.raises(DomainError):
             bitwise.encode_string("02", SecurityParams(theta=0.3, n=2))
 
+    @pytest.mark.parametrize("bits", [["0", "1"], b"01", ("0", "1")])
+    def test_bits_must_be_a_string(self, bits):
+        # Bits are read as the bytes of a str; a list of "0" and "1" was
+        # accepted before the encoding read them that way.
+        params = SecurityParams(theta=0.3, n=2)
+        with pytest.raises(DomainError, match="^bits must be a string of 0 and 1, got "):
+            bitwise.encode_string(bits, params)
+        with pytest.raises(DomainError, match="^bits must be a string of 0 and 1, got "):
+            bitwise.verify_unveil(bitwise.encode_string("01", params), bits, 0.3,
+                                  np.random.default_rng(0))
+
 
 class TestUnveil:
     def test_honest_completeness(self):
@@ -104,14 +115,16 @@ class TestUnveil:
             bitwise.verify_unveil(np.ones(shape, dtype=complex), "01", 0.3, rng)
 
     def test_one_draw_per_qubit_up_to_first_failure(self):
-        # qubit i passes iff its uniform draw is below sin^2(theta)
+        # qubit i passes iff uniform i is below sin^2(theta); all n uniforms are
+        # drawn, also after the first failure.
         theta = 0.3
         held = bitwise.encode_string("0000", SecurityParams(theta=theta, n=4))
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         failing = bitwise.verify_unveil(held, "1111", theta, rng)
-        assert failing is not None
-        u = twin.random(failing + 1)
-        assert (u[:-1] < math.sin(theta) ** 2).all() and u[-1] >= math.sin(theta) ** 2
+        assert failing is not None and failing < 3
+        u = twin.random(4)
+        passes = u < math.sin(theta) ** 2
+        assert passes[:failing].all() and not passes[failing]
         assert rng.random() == twin.random()
 
 

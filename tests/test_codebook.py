@@ -200,6 +200,16 @@ class TestCommitUnveil:
             verify_unveil(packed16, np.array([1, 0], dtype=complex), 0,
                           np.random.default_rng(0))
 
+    def test_held_as_list(self):
+        # A list has no .shape; it is checked as np.shape reads it, then used
+        # as the array it holds.
+        cb = simplex_codebook(3)
+        with pytest.raises(DomainError, match="^committed state dimension"):
+            verify_unveil(cb, [1, 0], 0, np.random.default_rng(0))
+        held = [0.6, 0.8, 0.0]
+        as_list = verify_unveil(cb, held, 1, np.random.default_rng(2))
+        assert as_list == verify_unveil(cb, np.array(held), 1, np.random.default_rng(2))
+
     def test_honest_unveil_always_accepted(self):
         cb = simplex_codebook(3)
         rng = np.random.default_rng(1)

@@ -14,11 +14,15 @@ from mistrustq.cointoss import (
     product_pair,
     singlet,
     singlet_test,
+    tamper_detected,
+    tampered,
     zero_prefix_score,
     zero_prefixes,
 )
 from mistrustq.errors import DomainError, TooLarge
-from mistrustq.harness import StrategyDescriptor, resolve_strategy, run_session
+from mistrustq.harness import (
+    PROTOCOLS, StrategyDescriptor, Transcript, resolve_strategy, run_session
+)
 
 SQ = math.sqrt(0.5)
 
@@ -44,8 +48,10 @@ def prepare(alice, params, rng):
 
 
 def toss(params, alice, bob, rng):
-    """One session through the harness engine, summarized from its transcript."""
-    t = run_session("CoinToss", {"M": params.M, "N": params.N}, alice, bob, 0, rng=rng)
+    """One session through the harness engine, seeded from rng, summarized from
+    its transcript."""
+    seed = int(rng.integers(2**63))
+    t = run_session("CoinToss", {"M": params.M, "N": params.N}, alice, bob, seed)
     payloads = {m.kind: m.payload for m in t.messages}
     return SimpleNamespace(
         verdict=t.verdict,
@@ -154,17 +160,27 @@ class TestPrepare:
             prepare(tamper(fraction, 0), CoinTossParams(M=2, N=4), np.random.default_rng(0))
 
 
+def pass_count(batch, rng, trials, stack=10_000):
+    """Passes of `trials` singlet tests of one batch, in stacks of at most `stack`
+    batches: the draws of `trials` one-batch calls."""
+    passes = 0
+    for i in range(0, trials, stack):
+        shape = (min(stack, trials - i), *batch.shape)
+        passes += int(singlet_test(np.broadcast_to(batch, shape), rng).sum())
+    return passes
+
+
 class TestSingletTest:
     def test_honest_always_passes(self):
         rng = np.random.default_rng(0)
         batch = np.array([singlet()] * 8)
-        assert all(singlet_test(batch, rng) for _ in range(10_000))
+        assert pass_count(batch, rng, 10_000) == 10_000
 
     def test_one_tampered_pair_half_rate(self):
         rng = np.random.default_rng(1)
         batch = np.array([singlet()] * 7 + [product_pair(0, 1)])
         trials = 20_000
-        passes = sum(singlet_test(batch, rng) for _ in range(trials))
+        passes = pass_count(batch, rng, trials)
         sigma = math.sqrt(0.25 / trials)
         assert abs(passes / trials - 0.5) < 3 * sigma
 
@@ -175,9 +191,28 @@ class TestSingletTest:
             batch = np.array([singlet()] * 6 + [product_pair(0, 1)] * k)
             expect = 0.5**k
             trials = 20_000
-            passes = sum(singlet_test(batch, rng) for _ in range(trials))
+            passes = pass_count(batch, rng, trials)
             sigma = math.sqrt(expect * (1 - expect) / trials)
             assert abs(passes / trials - expect) < 3 * sigma
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (3, 6), (2, 4, 6), (4, 1)])
+    def test_stack_is_the_per_batch_calls(self, shape):
+        # One call on a (..., N, 4) stack gives, per batch, what one call per
+        # batch in order gives, and leaves the generator where those calls do.
+        # Random states, singlets and product pairs give passes and failures.
+        setup = np.random.default_rng(11)
+        pairs = np.stack([singlet(), product_pair(0, 1), product_pair(1, 0)])
+        stack = pairs[setup.choice(3, size=shape, p=[0.85, 0.1, 0.05])]
+        haar = setup.normal(size=(*shape, 4)) + 1j * setup.normal(size=(*shape, 4))
+        mixed = setup.random(shape) < 0.05
+        stack[mixed] = (haar / np.linalg.norm(haar, axis=-1, keepdims=True))[mixed]
+        rng, replay = np.random.default_rng(12), np.random.default_rng(12)
+        got = singlet_test(stack, rng)
+        batches = stack.reshape(-1, *stack.shape[-2:])
+        expected = np.array([singlet_test(b, replay) for b in batches])
+        assert got.shape == shape[:-1] and got.dtype == bool
+        assert got.ravel().tolist() == expected.tolist()
+        assert rng.random() == replay.random()
 
 
 class TestGenerateBits:
@@ -376,12 +411,13 @@ class TestBestOfM:
          (16, 8, 4097), (2, 64, 20000)],
     )
     def test_batched_advantage_is_the_per_session_loop(self, M, N, trials):
-        # cli._advantage over the batched scores gives the (mean, stderr) of the
-        # per-session loop bit for bit, and leaves the rng where the loop does.
+        # The advantage sweep metric over the batched scores gives the (mean,
+        # stderr) of the per-session loop bit for bit, and leaves the rng where
+        # the loop does.
         rng, replay = np.random.default_rng(7), np.random.default_rng(7)
         scores = per_session_scores(M, N, replay, trials)
         expected = float(np.mean(scores)), float(np.std(scores) / math.sqrt(trials))
-        assert cli._advantage({"M": M, "N": N}, rng, trials, 0) == expected
+        assert cli.SWEEP_METRICS["advantage"][1]({"M": M, "N": N}, rng, trials) == expected
         assert rng.random() == replay.random()
 
     @pytest.mark.parametrize("chunk", [1, 14, 15, 16, 29, 30, 31, 45, 149, 150, 151])
@@ -417,3 +453,91 @@ class TestBestOfM:
         )
         with pytest.raises(error, match=message):
             bob_best_of_M(CoinTossParams(M=2, N=4), np.random.default_rng(0), trials)
+
+
+def detection_prob(M, N, fraction):
+    """1 - 2^-k(M-1), k = ceil(fraction * N): each of the M - 1 tested batches
+    holds k tampered pairs, each of which passes the singlet test with 1/2."""
+    return 1 - 2.0 ** -(math.ceil(fraction * N) * (M - 1))
+
+
+class TestTamperDetected:
+    @pytest.mark.parametrize(
+        "M, N, fraction, seed",
+        [(2, 16, 0.05, 1), (3, 16, 0.05, 2), (4, 64, 0.01, 3), (2, 8, 0.25, 4), (5, 4, 0.5, 5)],
+    )
+    def test_rate_matches_closed_form(self, M, N, fraction, seed):
+        trials = 4_000
+        detected = tamper_detected(CoinTossParams(M=M, N=N), fraction,
+                                   np.random.default_rng(seed), trials)
+        assert detected.shape == (trials,) and detected.dtype == bool
+        p = detection_prob(M, N, fraction)
+        assert abs(detected.mean() - p) < 4 * math.sqrt(p * (1 - p) / trials)
+
+    def test_no_tamper_never_detected(self):
+        detected = tamper_detected(CoinTossParams(M=4, N=8), 0.0, np.random.default_rng(6), 500)
+        assert not detected.any()
+
+    def test_full_tamper_always_detected(self):
+        # Undetected only if all 15 * 8 tested pairs pass: 2^-120.
+        detected = tamper_detected(CoinTossParams(M=16, N=8), 1.0, np.random.default_rng(7), 500)
+        assert detected.all()
+
+    @pytest.mark.parametrize("M, N, fraction", [(2, 3, 0.5), (4, 8, 0.125), (3, 2, 1.0)])
+    def test_a_one_session_chunk_is_a_session(self, M, N, fraction):
+        # One trial draws what a CoinToss session draws against a tamper(fraction)
+        # Alice up to Bob's test result: the tamper, the kept batch and one
+        # singlet test of every opened batch.
+        params = CoinTossParams(M=M, N=N)
+        alice = resolve_strategy("CoinToss", tamper(fraction, 0))
+        detected, verdicts = [], []
+        for seed in range(200):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            detected += tamper_detected(params, fraction, rng, 1).tolist()
+            t = Transcript("CoinToss", {"M": M, "N": N}, seed)
+            PROTOCOLS["CoinToss"]["driver"](params, alice, False, replay, t)
+            verdicts.append(t.verdict == "CheatDetected")
+            if verdicts[-1]:  # a completed session goes on to draw its bits
+                assert rng.random() == replay.random()
+        assert detected == verdicts
+        assert 0 < sum(verdicts) < 200
+
+    def test_chunks_are_bounded(self, monkeypatch):
+        # A chunk holds DRAW_CHUNK // (4 M N) sessions (at least one), so its
+        # batches hold at most DRAW_CHUNK amplitudes, or one session's 4 M N.
+        sizes = []
+        real = cointoss.tampered
+        monkeypatch.setattr(cointoss, "tampered",
+                            lambda shape, *a: sizes.append(shape) or real(shape, *a))
+        tamper_detected(CoinTossParams(M=4, N=64), 0.01, np.random.default_rng(9), 200)
+        assert sizes == [(16, 4, 64)] * 12 + [(8, 4, 64)]
+        sizes.clear()
+        tamper_detected(CoinTossParams(M=64, N=128), 0.01, np.random.default_rng(9), 3)
+        assert sizes == [(1, 64, 128)] * 3
+
+    @pytest.mark.parametrize(
+        "trials", [0, 2.5, True, 2**26 + 1]
+    )
+    def test_trials_checked(self, trials):
+        error = TooLarge if trials == 2**26 + 1 else DomainError
+        with pytest.raises(error, match="^trials "):
+            tamper_detected(CoinTossParams(M=2, N=4), 0.5, np.random.default_rng(0), trials)
+
+
+class TestTampered:
+    def test_stack_is_the_per_session_draws(self):
+        # tampered((t, M, N)) gives the batches of t tampered((M, N)) calls in
+        # turn: one rng.random draw, the k smallest per batch.
+        rng, replay = np.random.default_rng(10), np.random.default_rng(10)
+        stack = tampered((5, 3, 8), 0.25, 1, rng)
+        expected = [tampered((3, 8), 0.25, 1, replay) for _ in range(5)]
+        assert (stack == np.stack(expected)).all()
+        assert rng.random() == replay.random()
+
+    def test_checks_come_before_the_draw(self):
+        rng, replay = np.random.default_rng(11), np.random.default_rng(11)
+        with pytest.raises(DomainError, match="^fraction "):
+            tampered((2, 4), 1.5, 0, rng)
+        with pytest.raises(DomainError, match="^target_bit "):
+            tampered((2, 4), 0.5, 2, rng)
+        assert rng.random() == replay.random()

@@ -85,7 +85,7 @@ GOLDEN = [
         ["sweep", "--metric", "detection", "--variable", "M", "--values", "2,3,4",
          "--pairs", "16", "--tamper-fraction", "0.05", "--trials", "200",
          "--seed", "45"],
-        "ce601fc97ff627a1b97498c70a5cfdef5a466a56b8310e7d57fd502fda501df7",
+        "72bfae06487f1cb88ce1e13104f82f461bc98737550b6ee9f861d683970ed4d4",
         id="sweep-detection",
     ),
     pytest.param(
