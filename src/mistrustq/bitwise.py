@@ -21,8 +21,8 @@ from . import qmath
 from .qmath import HermitianOperator, StateVector
 
 MAX_EXACT_N = qmath.MAX_EIGENVALUES_DIM.bit_length() - 1  # dim 2**n <= 1024
-# Size guard on the string length of one session.  At n = 10**6 one
-# `run --protocol bitwise` took 2.7 s and peaked at 174 MB RSS.
+# Size guard on the string length of one session.  At n = 10**6 one `run --protocol
+# bitwise --trials 1` took 0.15-0.23 s and peaked at 160 MB RSS (2-core x86-64 Xeon).
 MAX_SESSION_N = 10**6
 
 

@@ -131,6 +131,7 @@ def cmd_run(args) -> int:
         Path(args.transcripts_dir).mkdir(parents=True, exist_ok=True)
     # The public input is checked, and a codebook built, once for every trial.
     public = PROTOCOLS[protocol]["public"](params, args.seed)
+    cheating = resolve_strategy(protocol, bob)
 
     verdicts: dict[str, int] = {}
     sums: dict[str, tuple] = {}  # row key -> (numerator, denominator)
@@ -138,7 +139,7 @@ def cmd_run(args) -> int:
         seed = _trial_seed(args.seed, trial)
         t = run_session(protocol, params, alice, bob, seed, public=public)
         verdicts[t.verdict] = verdicts.get(t.verdict, 0) + 1
-        for key, n, d in PROTOCOLS[protocol]["tally"](t, resolve_strategy(protocol, bob)):
+        for key, n, d in PROTOCOLS[protocol]["tally"](t, cheating):
             n0, d0 = sums.get(key, (0, 0))
             sums[key] = (n0 + n, d0 + d)
         if args.transcripts_dir:

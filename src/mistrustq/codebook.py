@@ -86,22 +86,13 @@ class Codebook:
         return self.vectors[check_int("index", index, 0, self.count - 1)]
 
 
-@dataclass(frozen=True)
-class CheatReport:
+class CheatReport(NamedTuple):
     """Outcome of the optimal multistring cheat against a target set."""
 
     target_indices: tuple[int, ...]
     cheat_state: StateVector
     success_probs: tuple[float, ...]
     total: float
-    bound: float
-
-    def __post_init__(self):
-        if self.total > self.bound + 1e-9:
-            raise DomainError(f"total {self.total} exceeds bound {self.bound}")
-        for p in self.success_probs:
-            if not (0.0 <= p <= 1.0 + 1e-12):
-                raise DomainError(f"success probability {p} outside [0, 1]")
 
 
 def _repulsion_polish(V: np.ndarray, epsilon: float) -> np.ndarray | None:
@@ -186,7 +177,7 @@ def verify_unveil(
     probability |<v_claimed|held>|^2, decided by one uniform draw."""
     if np.shape(held) != (codebook.dim,):
         raise DomainError("committed state dimension does not match codebook")
-    p = abs(np.vdot(codebook.state(claimed), held)) ** 2
+    p = abs((codebook.state(claimed).conj() * held).sum()) ** 2
     return bool(rng.random() < p)
 
 
@@ -246,14 +237,14 @@ def optimal_multistring_cheat(codebook: Codebook, targets) -> CheatReport:
     U = V[:, w >= w[0] * (1.0 - TOP_EIGENSPACE_RTOL)]
     P = U @ U.conj().T
     cheat = _top_state(B.T @ P if gram else P @ B.T)
-    probs = np.abs(B.conj() @ cheat.amplitudes) ** 2
-    return CheatReport(
-        target_indices=targets,
-        cheat_state=cheat,
-        success_probs=tuple(float(p) for p in probs),
-        total=float(w[0]),
-        bound=cheat_bound(len(targets), codebook.epsilon),
-    )
+    probs = tuple(float(p) for p in np.abs(B.conj() @ cheat.amplitudes) ** 2)
+    total, bound = float(w[0]), cheat_bound(len(targets), codebook.epsilon)
+    if total > bound + 1e-9:
+        raise DomainError(f"total {total} exceeds bound {bound}")
+    for p in probs:
+        if not (0.0 <= p <= 1.0 + 1e-12):
+            raise DomainError(f"success probability {p} outside [0, 1]")
+    return CheatReport(targets, cheat, probs, total)
 
 
 def gram_matrix(codebook: Codebook, targets) -> HermitianOperator:

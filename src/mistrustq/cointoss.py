@@ -32,8 +32,9 @@ _BELL = np.array(
     dtype=complex,
 ) / math.sqrt(2)
 SINGLET_OUTCOME = 3
-# Size guard on the M * N pairs of one session.  At 2**20 pairs one honest
-# run_session plus serialize took 0.2 + 0.9 s and reached about 415 MB RSS.
+# Size guard on the M * N pairs of one session.  At 2**20 pairs (M = 16) one honest
+# `run --trials 1` took 0.2 s and peaked at 228 MB RSS; with --transcripts-dir it took
+# 1.2-1.5 s and 404 MB, set by serialize (2-core x86-64 Xeon, numpy 2.4).
 MAX_PAIRS = 2**20
 
 
@@ -76,9 +77,15 @@ def _sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def singlet_test(batches: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Bell-basis measurement of every pair of a (..., N, 4) stack of batches, one
-    uniform per pair in order; per batch, whether every outcome is the singlet."""
-    return (_sample(np.abs(batches @ _BELL.conj().T) ** 2, rng) == SINGLET_OUTCOME).all(-1)
+    """Bell-basis measurement of every pair of a (..., N, 4) stack of batches, one uniform
+    per pair in order, DRAW_CHUNK pairs per draw; per batch, whether all are singlets."""
+    pairs = batches.reshape(-1, 4)
+    passed = np.empty(len(pairs), dtype=bool)
+    for i in range(0, len(pairs), DRAW_CHUNK):
+        probs = np.abs(pairs[i : i + DRAW_CHUNK] @ _BELL.conj().T) ** 2
+        passed[i : i + len(probs)] = _sample(probs, rng) == SINGLET_OUTCOME
+        del probs  # before the next piece's Bell amplitudes
+    return passed.reshape(batches.shape[:-1]).all(-1)
 
 
 def tampered(shape: tuple, fraction: float, target_bit: int, rng) -> np.ndarray:
@@ -127,8 +134,9 @@ def zero_prefixes(bits: np.ndarray) -> np.ndarray:
 # Trials of one `run` or sweep value, and scores of one bob_best_of_M call (512 MB of
 # float64).  At 40-170 us per trial (default sizes, 2 x86-64 cores) that is 1-3 h.
 MAX_TRIALS = 2**26
-# Values per bob_best_of_M draw and amplitudes per tamper_detected chunk, or one session's
-# if more.  2**16 int64 draws raised the toss benchmark's peak RSS by 0.9 MB; 2**14 did not.
+# Values per bob_best_of_M draw and amplitudes per tamper_detected chunk (or one
+# session's, if more), and pairs per singlet_test draw.  2**16 int64 draws raised the
+# toss benchmark's peak RSS by 0.9 MB; 2**14 did not.
 DRAW_CHUNK = 2**14
 
 

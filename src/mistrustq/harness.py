@@ -390,7 +390,7 @@ def run_session(
     if not isinstance(params, dict):
         raise DomainError(f"params must be a dict, got {params!r}")
     if alice.party != "alice" or bob.party != "bob":
-        raise ProtocolViolation("descriptors must name an alice and a bob strategy")
+        raise DomainError("descriptors must name an alice and a bob strategy")
     seed = check_int("seed", seed)
     alice_fn = resolve_strategy(protocol, alice)
     cheating = resolve_strategy(protocol, bob)

@@ -65,8 +65,6 @@ class StateVector:
     def __post_init__(self):
         a = _read_only(np.reshape(self.amplitudes, -1))
         object.__setattr__(self, "amplitudes", a)
-        if self.dim < 1:
-            raise DomainError("state vector must have dimension >= 1")
         norm = np.linalg.norm(a)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise DomainError(f"state vector norm {norm} is not 1 within {NORM_TOL}")
@@ -107,15 +105,13 @@ class Eigen(NamedTuple):
 
 
 def ket(amplitudes) -> StateVector:
-    """Normalize a nonzero finite complex vector into a StateVector."""
+    """Normalize a nonzero finite complex vector into a StateVector, scaled first by _scaled."""
     a = np.ascontiguousarray(amplitudes, dtype=complex).reshape(-1)
-    peak = np.abs(a.view(float)).max(initial=0.0)  # the largest real or imaginary part
-    if not np.isfinite(peak):
+    if not np.isfinite(a).all():
         raise DomainError("cannot normalize a non-finite vector")
-    if peak == 0:
+    if not a.any():
         raise DomainError("cannot normalize a zero vector")
-    if not 1e-150 <= peak <= 1e150:  # unscaled squares would leave the float range
-        a = (a.view(float) / peak).view(complex)
+    a, _ = _scaled(a)
     return StateVector(a / np.linalg.norm(a))
 
 

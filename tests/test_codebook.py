@@ -6,6 +6,7 @@ import pytest
 
 from mistrustq import codebook, qmath
 from mistrustq.codebook import (
+    CheatReport,
     Codebook,
     bob_info_report,
     cheat_operator,
@@ -210,6 +211,12 @@ class TestCommitUnveil:
         as_list = verify_unveil(cb, held, 1, np.random.default_rng(2))
         assert as_list == verify_unveil(cb, np.array(held), 1, np.random.default_rng(2))
 
+    def test_one_draw_per_unveiling(self, packed16):
+        rng, replay = np.random.default_rng(4), np.random.default_rng(4)
+        verify_unveil(packed16, packed16.state(3), 7, rng)
+        replay.random()
+        assert rng.random() == replay.random()
+
     def test_honest_unveil_always_accepted(self):
         cb = simplex_codebook(3)
         rng = np.random.default_rng(1)
@@ -277,6 +284,19 @@ class TestMultistringCheat:
         assert optimal_multistring_cheat(cb, [0.0, 2.0]).target_indices == (0, 2)
         with pytest.raises(DomainError, match=r"^repeated indices in \(1, 1\)$"):
             optimal_multistring_cheat(cb, [1, 1.0])
+
+    def test_report_fields(self, packed16):
+        # The bound has one home, cheat_bound; the report does not store it.
+        report = optimal_multistring_cheat(packed16, [6, 9])
+        assert CheatReport._fields == report._fields == (
+            "target_indices", "cheat_state", "success_probs", "total"
+        )
+
+    def test_total_above_bound_is_refused(self, packed16, monkeypatch):
+        # Unreachable for a certified codebook; checked where the total is computed.
+        monkeypatch.setattr(codebook, "cheat_bound", lambda r, epsilon: 0.5)
+        with pytest.raises(DomainError, match=r"^total .* exceeds bound 0.5$"):
+            optimal_multistring_cheat(packed16, [6, 9])
 
     def test_single_target_total_one(self, packed16):
         report = optimal_multistring_cheat(packed16, [4])

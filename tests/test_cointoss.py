@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -214,6 +215,18 @@ class TestSingletTest:
         assert got.ravel().tolist() == expected.tolist()
         assert rng.random() == replay.random()
 
+    @pytest.mark.parametrize("chunk", [1, 5, 48])
+    def test_pieces_are_one_draw(self, chunk, monkeypatch):
+        # Pieces of DRAW_CHUNK pairs, cut across batches or not, give what one
+        # piece gives and leave the generator where it leaves it.
+        setup = np.random.default_rng(13)
+        stack = np.stack([singlet(), product_pair(0, 1)])[(setup.random((2, 4, 6)) < 0.1) * 1]
+        rng, replay = np.random.default_rng(14), np.random.default_rng(14)
+        expected = singlet_test(stack, replay)
+        monkeypatch.setattr(cointoss, "DRAW_CHUNK", chunk)
+        assert singlet_test(stack, rng).tolist() == expected.tolist()
+        assert rng.random() == replay.random()
+
 
 class TestGenerateBits:
     def test_anticorrelated(self):
@@ -258,6 +271,21 @@ class TestGenerateBits:
 
 
 class TestRunCoinToss:
+    def test_honest_session_memory(self):
+        # Bob's Bell test runs in pieces, so an honest session peaks near the
+        # arrays it holds (the batches, the `prepare` payload and the tested
+        # copy), not at several times the tested pairs' Bell products.
+        batch_bytes = 16 * 4096 * 4 * 16  # (M, N, 4) complex128: 4 MB
+        run_session("CoinToss", {"M": 2, "N": 4}, HONEST_ALICE, HONEST_BOB, 1)
+        tracemalloc.start()
+        try:
+            t = run_session("CoinToss", {"M": 16, "N": 4096}, HONEST_ALICE, HONEST_BOB, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.verdict == "Completed"
+        assert peak < 3.5 * batch_bytes
+
     def test_honest_completes_unbiased(self):
         params = CoinTossParams(M=4, N=8)
         rng = np.random.default_rng(0)

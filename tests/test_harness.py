@@ -170,6 +170,12 @@ class TestRunSession:
                 1,
             )
 
+    def test_swapped_descriptors_are_a_bad_argument(self):
+        # A bad argument, not ProtocolViolation, which only Transcript.append raises.
+        message = "^descriptors must name an alice and a bob strategy$"
+        with pytest.raises(DomainError, match=message):
+            run_session("CoinToss", {"M": 2, "N": 2}, BOB_HONEST, ALICE_HONEST, 1)
+
     def test_unknown_protocol(self):
         with pytest.raises(UnknownStrategy):
             run_session("Nope", {}, ALICE_HONEST, BOB_HONEST, 1)
@@ -437,8 +443,9 @@ def strategies(protocol, party):
 
 
 def replays_or_raises(protocol, params, seed, alice, bob):
-    """A replayed header either runs to a transcript that deserialize reads
-    back to the same bytes, or ends in a SimulationError."""
+    """A replayed header either ends in a SimulationError or runs to a
+    transcript that deserialize reads back to the same bytes, and whose
+    deserialized header replays to those bytes."""
     try:
         t = run_session(protocol, params, alice, bob, seed)
     except SimulationError:
@@ -449,6 +456,8 @@ def replays_or_raises(protocol, params, seed, alice, bob):
         protocol, t.verdict, params.keys()
     )
     assert serialize(back) == data
+    # The header alone, with the same descriptors, replays to the same bytes.
+    assert serialize(run_session(back.protocol, back.params, alice, bob, back.seed)) == data
 
 
 class TestHeaderProperty:

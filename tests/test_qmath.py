@@ -59,12 +59,23 @@ class TestKet:
             ([1e-200, 1e-200], [math.sqrt(0.5)] * 2),
             ([1e-160, 0], [1, 0]),
             ([5e-324, -5e-324j], [math.sqrt(0.5), -1j * math.sqrt(0.5)]),
+            ([1e-140, 1e-140], [math.sqrt(0.5)] * 2),
         ],
-        ids=["overflow", "underflow", "inexact-subnormal-norm", "subnormal"],
+        ids=["overflow", "underflow", "inexact-subnormal-norm", "subnormal",
+             "below-kernel-range"],
     )
     def test_extreme_magnitudes(self, amplitudes, expected):
-        # np.linalg.norm's unscaled squares leave the float range on each input.
+        # np.linalg.norm's unscaled squares leave the float range on each input
+        # but the last, whose peak lies in [1e-150, 2**-450): ket scales that one
+        # by a power of two too, as the spectral kernels do.
         np.testing.assert_allclose(ket(amplitudes).amplitudes, expected, rtol=1e-15)
+
+    def test_empty_vectors(self):
+        with pytest.raises(DomainError, match="^cannot normalize a zero vector$"):
+            ket([])
+        # The unit-norm check refuses an empty vector, whose norm is 0.
+        with pytest.raises(DomainError, match="^state vector norm 0.0 is not 1 within "):
+            StateVector([])
 
     def test_in_range_arithmetic(self):
         a = np.random.default_rng(3).standard_normal((4, 2)) @ [1, 1j]
